@@ -41,19 +41,19 @@ type Exec struct {
 // header layout: magic(2) isa(2) textsize(4) datasize(4) entry(4)
 const headerSize = 16
 
-// Encode serializes the executable, big-endian like the 68000 family.
+// Encode serializes the executable, big-endian like the 68000 family. The
+// output is allocated once, at its exact length: a dump's a.out is as big
+// as the process image.
 func (e *Exec) Encode() []byte {
-	var b bytes.Buffer
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint16(hdr[0:], OMAGIC)
-	binary.BigEndian.PutUint16(hdr[2:], uint16(e.ISA))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(e.Text)))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(e.Data)))
-	binary.BigEndian.PutUint32(hdr[12:], e.Entry)
-	b.Write(hdr[:])
-	b.Write(e.Text)
-	b.Write(e.Data)
-	return b.Bytes()
+	b := make([]byte, headerSize+len(e.Text)+len(e.Data))
+	binary.BigEndian.PutUint16(b[0:], OMAGIC)
+	binary.BigEndian.PutUint16(b[2:], uint16(e.ISA))
+	binary.BigEndian.PutUint32(b[4:], uint32(len(e.Text)))
+	binary.BigEndian.PutUint32(b[8:], uint32(len(e.Data)))
+	binary.BigEndian.PutUint32(b[12:], e.Entry)
+	n := copy(b[headerSize:], e.Text)
+	copy(b[headerSize+n:], e.Data)
+	return b
 }
 
 // Decode parses an executable produced by Encode.
@@ -84,13 +84,10 @@ func Decode(raw []byte) (*Exec, error) {
 // just the registered program name. The kernel's exec recognises the magic
 // and dispatches to the Go implementation registered under that name.
 func EncodeHosted(name string) []byte {
-	var b bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:], HostedMagic)
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(name)))
-	b.Write(hdr[:])
-	b.WriteString(name)
-	return b.Bytes()
+	b := make([]byte, 0, 4+len(name))
+	b = binary.BigEndian.AppendUint16(b, HostedMagic)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(name)))
+	return append(b, name...)
 }
 
 // DecodeHosted extracts the program name from a hosted stub.

@@ -1,6 +1,8 @@
 package aout
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +18,32 @@ func TestExecRoundTrip(t *testing.T) {
 	if got.ISA != e.ISA || got.Entry != e.Entry ||
 		string(got.Text) != string(e.Text) || string(got.Data) != string(e.Data) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, e)
+	}
+}
+
+// TestExecEncodeExactSize: Encode allocates its output once, at its exact
+// length, and the bytes are the layout the format has always had.
+func TestExecEncodeExactSize(t *testing.T) {
+	e := &Exec{ISA: vm.ISA2, Entry: 0x1c, Text: []byte{1, 2, 3}, Data: []byte{9, 8}}
+	if got := fmt.Sprintf("%x", e.Encode()); got != "0107000200000003000000020000001c0102030908" {
+		t.Fatalf("encoding changed: %s", got)
+	}
+	for _, n := range []int{0, 1, 1000, 70000} {
+		e := &Exec{ISA: vm.ISA1, Entry: uint32(n), Text: make([]byte, n/3), Data: make([]byte, n)}
+		for i := range e.Data {
+			e.Data[i] = byte(i)
+		}
+		raw := e.Encode()
+		if want := headerSize + n/3 + n; len(raw) != want || cap(raw) != want {
+			t.Fatalf("n=%d: len %d cap %d, want both %d", n, len(raw), cap(raw), want)
+		}
+		got, err := Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Entry != e.Entry || !bytes.Equal(got.Text, e.Text) || !bytes.Equal(got.Data, e.Data) {
+			t.Fatalf("n=%d: round trip mismatch", n)
+		}
 	}
 }
 
@@ -38,6 +66,9 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 
 func TestHostedStub(t *testing.T) {
 	raw := EncodeHosted("dumpproc")
+	if got := fmt.Sprintf("%x", raw); got != "0105000864756d7070726f63" || cap(raw) != len(raw) {
+		t.Fatalf("stub %s (cap %d), want the exact-size magic, length and name", got, cap(raw))
+	}
 	if !IsHosted(raw) {
 		t.Fatal("IsHosted = false")
 	}

@@ -243,4 +243,3 @@ func newMigrateClient(host *netsim.Host, name string, defaultAttempts int) kerne
 		return 0
 	}
 }
-

@@ -54,12 +54,12 @@ type Cluster struct {
 	// across hosts.
 	Obs *obs.Registry
 
-	machines map[string]*kernel.Machine
-	hosts    map[string]*netsim.Host
-	consoles map[string]*tty.Terminal
-	order    []string
-	ha       map[string]*ha.Node
-	haCfg    ha.Config // StartHA's config, reused when a revived host rejoins
+	machines   map[string]*kernel.Machine
+	hosts      map[string]*netsim.Host
+	consoles   map[string]*tty.Terminal
+	order      []string
+	ha         map[string]*ha.Node
+	haCfg      ha.Config // StartHA's config, reused when a revived host rejoins
 	ctl        *controller.Controller
 	migWire    core.WireMode // wire mode controller-driven migrations use
 	migClassic bool          // controller migrations use the classic stop-and-copy path

@@ -49,6 +49,7 @@ var (
 	ErrTruncated    = errors.New("core: truncated dump file")
 	ErrNotCommitted = errors.New("core: stream image has no matching commit record")
 	ErrHashMismatch = errors.New("core: page-ref hash does not match held page")
+	ErrBadGeometry  = errors.New("core: stream geometry outside the address space")
 )
 
 // FDKind classifies one open-file-table entry in the files file.
@@ -214,25 +215,23 @@ func DecodeFiles(raw []byte) (*FilesFile, error) {
 	return f, nil
 }
 
-// Encode serializes the stack file.
+// stackFixed is the size of a stack file less its stack bytes: magic,
+// four creds, stack length, registers, PC, flags, signal actions, OldPID.
+const stackFixed = 2 + 4*4 + 4 + vm.NumRegs*4 + 4 + 1 + kernel.NSIG*5 + 4
+
+// Encode serializes the stack file into one buffer of its exact length.
 func (s *StackFile) Encode() []byte {
-	var b bytes.Buffer
-	var w [4]byte
-	binary.BigEndian.PutUint16(w[:2], StackMagic)
-	b.Write(w[:2])
+	b := make([]byte, 0, stackFixed+len(s.Stack))
+	b = binary.BigEndian.AppendUint16(b, StackMagic)
 	for _, v := range []int{s.Creds.UID, s.Creds.GID, s.Creds.EUID, s.Creds.EGID} {
-		binary.BigEndian.PutUint32(w[:], uint32(v))
-		b.Write(w[:])
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
 	}
-	binary.BigEndian.PutUint32(w[:], uint32(len(s.Stack)))
-	b.Write(w[:])
-	b.Write(s.Stack)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Stack)))
+	b = append(b, s.Stack...)
 	for _, v := range s.Regs.R {
-		binary.BigEndian.PutUint32(w[:], v)
-		b.Write(w[:])
+		b = binary.BigEndian.AppendUint32(b, v)
 	}
-	binary.BigEndian.PutUint32(w[:], s.Regs.PC)
-	b.Write(w[:])
+	b = binary.BigEndian.AppendUint32(b, s.Regs.PC)
 	var fl byte
 	if s.Regs.Z {
 		fl |= 1
@@ -240,15 +239,12 @@ func (s *StackFile) Encode() []byte {
 	if s.Regs.N {
 		fl |= 2
 	}
-	b.WriteByte(fl)
+	b = append(b, fl)
 	for _, a := range s.SigActions {
-		b.WriteByte(byte(a.Disposition))
-		binary.BigEndian.PutUint32(w[:], a.Handler)
-		b.Write(w[:])
+		b = append(b, byte(a.Disposition))
+		b = binary.BigEndian.AppendUint32(b, a.Handler)
 	}
-	binary.BigEndian.PutUint32(w[:], s.OldPID)
-	b.Write(w[:])
-	return b.Bytes()
+	return binary.BigEndian.AppendUint32(b, s.OldPID)
 }
 
 // DecodeStack parses a stack file, verifying its magic number.

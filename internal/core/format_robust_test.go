@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"procmig/internal/core"
@@ -85,6 +88,39 @@ func FuzzDecodeFiles(f *testing.F) {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
 		}
 	})
+}
+
+// TestStackEncodeExactSize: Encode allocates the stack file once, at its
+// exact length, with the bytes it has always had (the digest pins them),
+// and DecodeStack reads every field back.
+func TestStackEncodeExactSize(t *testing.T) {
+	sf := sampleStack()
+	sf.Creds.EGID = -2
+	sf.Regs.Z = true
+	for i := range sf.Regs.R {
+		sf.Regs.R[i] = uint32(i * 0x01010101)
+	}
+	for i := range sf.SigActions {
+		sf.SigActions[i] = kernel.SigAction{Disposition: kernel.SigDisposition(i % 3), Handler: uint32(i * 100)}
+	}
+	raw := sf.Encode()
+	if len(raw) != 232 || cap(raw) != len(raw) {
+		t.Fatalf("len %d cap %d, want both 232", len(raw), cap(raw))
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != "35e6df03c0ac93ff6dbf9e34945d2735e734d139627e31f8ca3bc27bdb732f81" {
+		t.Fatalf("encoding changed: sha256 %s", got)
+	}
+	back, err := core.DecodeStack(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, sf) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, sf)
+	}
+	sf.Stack = make([]byte, 5000)
+	if raw := sf.Encode(); cap(raw) != 232-5+5000 || len(raw) != cap(raw) {
+		t.Fatalf("5000-byte stack: len %d cap %d", len(raw), cap(raw))
+	}
 }
 
 func FuzzDecodeStack(f *testing.F) {

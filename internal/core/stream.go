@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
@@ -137,7 +138,9 @@ func (h *StreamHello) Encode() []byte {
 	return b
 }
 
-// DecodeStreamHello parses a hello, verifying its magic number.
+// DecodeStreamHello parses a hello, verifying its magic number and that
+// the text and data it announces fit the address space (the destination
+// sizes its buffers from them).
 func DecodeStreamHello(raw []byte) (*StreamHello, error) {
 	r := &reader{buf: raw}
 	if r.u16() != StreamMagic {
@@ -159,7 +162,20 @@ func DecodeStreamHello(raw []byte) (*StreamHello, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if uint64(h.TextLen)+uint64(h.DataLen) > vm.StackTop {
+		return nil, ErrBadGeometry
+	}
 	return h, nil
+}
+
+// pg reads a page number, rejecting one outside the address space: the
+// assembler keys its page map by it.
+func (r *reader) pg() uint32 {
+	pg := r.u32()
+	if r.err == nil && pg >= vm.NumPages {
+		r.err = ErrBadGeometry
+	}
+	return pg
 }
 
 // EncodeStreamStatus is the 4-byte close response: the restart status on
@@ -1026,6 +1042,15 @@ func streamDumpSend(p *kernel.Proc, sess *StreamSession) errno.Errno {
 // ImageAssembler rebuilds the three §4.3 dump files from stream records on
 // the destination. Later records overwrite earlier ones, so re-sent pages
 // simply land on top of their stale copies.
+//
+// A one-shot destination (migd) builds the files straight from the
+// assembler with Spool. A long-lived one (the guardian buddy, which
+// applies delta after delta to one assembler) takes a CommittedImage
+// snapshot with Commit at every commit and builds the files only when it
+// needs them. After a Commit the assembler is copy-on-write: a record that
+// overwrites a page or the text the newest snapshot still shares first
+// gets a fresh buffer, so no later record — committed or torn — can reach
+// into a committed image.
 type ImageAssembler struct {
 	hello    StreamHello
 	text     []byte
@@ -1036,6 +1061,12 @@ type ImageAssembler struct {
 	sfRaw    []byte
 	metaSeen bool
 	commit   *CommitRecord
+	// frozen is the page map of the newest snapshot: a buffer in pages
+	// that is also frozen[pg] is shared and must not be written in place.
+	// Older snapshots need no check — every buffer they share with the
+	// assembler the newest one shares too.
+	frozen     map[uint32][]byte
+	textFrozen bool // the newest snapshot shares text
 	// hashes holds the content hash of every page currently stored,
 	// maintained on every page-bearing record: the table a RecPageRef is
 	// checked against. It lives exactly as long as the assembler — a guardd
@@ -1074,11 +1105,13 @@ func NewImageAssembler(helloRaw []byte) (*ImageAssembler, error) {
 	}, nil
 }
 
-// page returns pg's storage, allocating it zeroed on first touch. Every
-// Apply case that overwrites it must refresh a.hashes[pg] to match.
+// page returns pg's storage for overwriting, allocating it zeroed on first
+// touch or when the newest snapshot shares it (copy-on-write; the old
+// bytes are not copied because every caller overwrites the whole page).
+// Every Apply case that overwrites it must refresh a.hashes[pg] to match.
 func (a *ImageAssembler) page(pg uint32) []byte {
 	p := a.pages[pg]
-	if p == nil {
+	if f := a.frozen[pg]; p == nil || (f != nil && &f[0] == &p[0]) {
 		p = make([]byte, vm.PageSize)
 		a.pages[pg] = p
 	}
@@ -1108,10 +1141,14 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		if int(off)+n > len(a.text) {
 			return ErrTruncated
 		}
+		if a.textFrozen {
+			a.text = append([]byte(nil), a.text...)
+			a.textFrozen = false
+		}
 		copy(a.text[off:], data)
 		a.textGot += n
 	case RecPage:
-		pg := r.u32()
+		pg := r.pg()
 		n := int(r.u32())
 		data := r.take(n)
 		if r.err != nil {
@@ -1126,7 +1163,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		a.storeInsert(h, data)
 		delete(a.specMiss, pg)
 	case RecPageZero:
-		pg := r.u32()
+		pg := r.pg()
 		if r.err != nil {
 			return r.err
 		}
@@ -1137,7 +1174,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		a.hashes[pg] = zeroPageHash
 		delete(a.specMiss, pg)
 	case RecPageRef:
-		pg := r.u32()
+		pg := r.pg()
 		h := r.u64()
 		if r.err != nil {
 			return r.err
@@ -1153,7 +1190,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		}
 		delete(a.specMiss, pg)
 	case RecPageStoreRef:
-		pg := r.u32()
+		pg := r.pg()
 		h := r.u64()
 		if r.err != nil {
 			return r.err
@@ -1170,22 +1207,25 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 			return ErrTruncated
 		}
 		for i := 0; i < n; i++ {
-			pg := r.u32()
+			pg := r.pg()
 			h := r.u64()
+			if r.err != nil {
+				return r.err
+			}
 			if err := a.applyStoreRef(pg, h); err != nil {
 				return err
 			}
 		}
 	case RecPageLZ:
-		pg := r.u32()
+		pg := r.pg()
 		n := int(r.u32())
 		frame := r.take(n)
 		if r.err != nil {
 			return r.err
 		}
 		// Decode straight into the stored page. A corrupt frame may leave
-		// the page half-overwritten, but the error kills the session and
-		// the assembler with it, so the torn page is never spooled.
+		// the page half-overwritten, but Committed never passes a torn
+		// stream, and the page is a fresh buffer if a snapshot shares pg.
 		p := a.page(pg)
 		if err := DecompressLZInto(p, frame); err != nil {
 			return err
@@ -1195,12 +1235,16 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		a.storeInsert(h, p)
 		delete(a.specMiss, pg)
 	case RecMeta:
-		a.stackLen = int(r.u32())
-		a.filesRaw = append([]byte(nil), r.take(int(r.u32()))...)
-		a.sfRaw = append([]byte(nil), r.take(int(r.u32()))...)
+		stackLen := r.u32()
+		filesRaw := append([]byte(nil), r.take(int(r.u32()))...)
+		sfRaw := append([]byte(nil), r.take(int(r.u32()))...)
 		if r.err != nil {
 			return r.err
 		}
+		if stackLen > vm.StackTop {
+			return ErrBadGeometry
+		}
+		a.stackLen, a.filesRaw, a.sfRaw = int(stackLen), filesRaw, sfRaw
 		a.metaSeen = true
 	case RecCommit:
 		c, err := DecodeCommit(rec)
@@ -1305,10 +1349,10 @@ func (a *ImageAssembler) SyncReply(req []byte) []byte {
 }
 
 // Committed reports whether a commit record has arrived and matches both
-// the hello and what was actually assembled — the gate Spool enforces.
-// Unresolved speculative refs block it: such a page may sit in a.pages
-// with stale earlier-round bytes, which the PageCount check alone cannot
-// tell from the real thing.
+// the hello and what was actually assembled — the gate Commit and Spool
+// enforce. Unresolved speculative refs block it: such a page may sit in
+// a.pages with stale earlier-round bytes, which the PageCount check alone
+// cannot tell from the real thing.
 func (a *ImageAssembler) Committed() bool {
 	c := a.commit
 	return c != nil && a.metaSeen &&
@@ -1338,40 +1382,88 @@ func overlay(dst []byte, dstBase uint32, page []byte, pageBase uint32) {
 	copy(dst[lo-dstBase:hi-dstBase], page[lo-pageBase:hi-pageBase])
 }
 
-// Spool produces the three dump files — a.out, files, stack — exactly as a
-// local SIGDUMP would have written them, ready to be spooled to /usr/tmp
-// and restarted with no remote image reads.
-func (a *ImageAssembler) Spool() (aoutRaw, filesRaw, stackRaw []byte, err error) {
+// CommittedImage is an immutable snapshot of an assembler at a commit:
+// everything needed to build the three dump files, which Spool does on
+// demand. It shares page buffers with the assembler it came from; the
+// assembler's copy-on-write keeps them unchanged.
+type CommittedImage struct {
+	hello    StreamHello
+	text     []byte
+	pages    map[uint32][]byte
+	stackLen int
+	filesRaw []byte
+	sf       *StackFile // decoded sfRaw; Stack is filled in by Spool
+}
+
+// image runs every check a spool needs and returns the image as the
+// assembler holds it now, aliasing its text and page map.
+func (a *ImageAssembler) image() (*CommittedImage, error) {
 	if !a.metaSeen {
-		return nil, nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if a.textGot < len(a.text) {
-		return nil, nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if !a.Committed() {
 		// No commit record, or one disagreeing with what arrived: the
 		// transfer never completed its first phase; refuse to build a
 		// half image.
-		return nil, nil, nil, ErrNotCommitted
+		return nil, ErrNotCommitted
 	}
 	sf, err := DecodeStack(a.sfRaw)
 	if err != nil {
+		return nil, err
+	}
+	return &CommittedImage{
+		hello: a.hello, text: a.text, pages: a.pages,
+		stackLen: a.stackLen, filesRaw: a.filesRaw, sf: sf,
+	}, nil
+}
+
+// Commit checks the image exactly as Spool does and snapshots it: the page
+// map is copied (the buffers are not), and from here on the assembler
+// copies a shared buffer before overwriting it. A commit costs the map,
+// not the image.
+func (a *ImageAssembler) Commit() (*CommittedImage, error) {
+	img, err := a.image()
+	if err != nil {
+		return nil, err
+	}
+	img.pages = maps.Clone(a.pages)
+	a.frozen = img.pages
+	a.textFrozen = true
+	return img, nil
+}
+
+// Spool produces the three dump files — a.out, files, stack — exactly as a
+// local SIGDUMP would have written them, ready to be spooled to /usr/tmp
+// and restarted with no remote image reads. It builds straight from the
+// assembler, for a destination that spools once and discards it.
+func (a *ImageAssembler) Spool() (aoutRaw, filesRaw, stackRaw []byte, err error) {
+	img, err := a.image()
+	if err != nil {
 		return nil, nil, nil, err
 	}
+	aoutRaw, filesRaw, stackRaw = img.Spool()
+	return aoutRaw, filesRaw, stackRaw, nil
+}
 
+// Spool builds the image's three dump files.
+func (c *CommittedImage) Spool() (aoutRaw, filesRaw, stackRaw []byte) {
 	// Pages are absolute-addressed; carve the data segment and the stack
 	// back out of them. Pages never sent are unmaterialized, i.e. zero.
-	dataBase := vm.DataBase(int(a.hello.TextLen))
-	data := make([]byte, a.hello.DataLen)
-	stack := make([]byte, a.stackLen)
-	stackBase := uint32(vm.StackTop - a.stackLen)
-	for pg, contents := range a.pages {
+	dataBase := vm.DataBase(int(c.hello.TextLen))
+	data := make([]byte, c.hello.DataLen)
+	stack := make([]byte, c.stackLen)
+	stackBase := uint32(vm.StackTop - c.stackLen)
+	for pg, contents := range c.pages {
 		base := pg << vm.PageShift
 		overlay(data, dataBase, contents, base)
 		overlay(stack, stackBase, contents, base)
 	}
+	sf := *c.sf
 	sf.Stack = stack
 
-	exe := &aout.Exec{ISA: a.hello.ISA, Entry: a.hello.Entry, Text: a.text, Data: data}
-	return exe.Encode(), a.filesRaw, sf.Encode(), nil
+	exe := &aout.Exec{ISA: c.hello.ISA, Entry: c.hello.Entry, Text: c.text, Data: data}
+	return exe.Encode(), c.filesRaw, sf.Encode()
 }

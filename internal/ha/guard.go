@@ -23,8 +23,10 @@ import (
 // migration but with the session in Checkpoint mode, so the victim
 // resumes in place with dirty tracking still armed.
 //
-// The buddy keeps one image assembler per protection and materializes the
-// three dump files at every commit. When the source goes silent — no
+// The buddy keeps one image assembler per protection and takes a
+// copy-on-write snapshot of it at every commit, so a commit costs the
+// delta rather than the whole image; the three dump files are built from
+// the newest snapshot only on recovery. When the source goes silent — no
 // heartbeat and no checkpoint for SuspectAfter — the buddy arbitrates
 // over an independent channel (the migd transaction port, via the
 // injected Arbitrate probe) and restarts the newest committed checkpoint
@@ -82,7 +84,7 @@ type ckptKey struct {
 }
 
 // ckptState is the buddy-side state of one protection: the live
-// assembler for the current generation plus the newest committed spool.
+// assembler for the current generation plus the newest committed image.
 // The committed image survives generation resyncs — if the source dies
 // mid-resync, the buddy restarts from what last committed.
 type ckptState struct {
@@ -92,9 +94,9 @@ type ckptState struct {
 	txn    uint32 // the generation's trace id (from the stream hello)
 	asm    *core.ImageAssembler
 
-	aout, files, stack []byte // newest committed dump files
-	seq                int    // committed checkpoints so far
-	committedAt        sim.Time
+	img         *core.CommittedImage // newest committed checkpoint
+	seq         int                  // committed checkpoints so far
+	committedAt sim.Time
 
 	released  bool // the source told us the process is gone
 	recovered bool // we restarted it here
@@ -382,7 +384,7 @@ func (g *Guard) acceptSpool(_ *sim.Task, from string, helloRaw []byte) (netsim.S
 		g.ckpts[key] = st
 	}
 	if st.asm == nil || st.gen != gen {
-		// New generation: fresh assembler, but the newest committed spool
+		// New generation: fresh assembler, but the newest committed image
 		// is kept until the new generation commits one of its own.
 		st.gen = gen
 		st.asm = asm
@@ -397,10 +399,11 @@ func (g *Guard) acceptSpool(_ *sim.Task, from string, helloRaw []byte) (netsim.S
 }
 
 // guardSink consumes one checkpoint stream into the protection's
-// assembler. Done materializes the dump files in memory — commit — and
-// Abort simply keeps the previous commit (the half-received delta stays
-// in the assembler, but the source resyncs a full image under a new
-// generation after any failure, so it is never restarted from).
+// assembler. Done commits: it snapshots the assembler as the newest
+// committed image. Abort keeps the previous one. The half-received delta
+// stays in the assembler (until the source resyncs a full image under a
+// new generation), but the assembler is copy-on-write after a commit, so
+// nothing it holds can change a committed image.
 type guardSink struct {
 	g   *Guard
 	st  *ckptState
@@ -429,11 +432,11 @@ func (s *guardSink) Done(t *sim.Task) []byte {
 	if s.err != nil {
 		return core.EncodeStreamStatus(-1)
 	}
-	aoutRaw, filesRaw, stackRaw, err := s.st.asm.Spool()
+	img, err := s.st.asm.Commit()
 	if err != nil {
 		return core.EncodeStreamStatus(-1)
 	}
-	s.st.aout, s.st.files, s.st.stack = aoutRaw, filesRaw, stackRaw
+	s.st.img = img
 	s.st.seq++
 	s.st.committedAt = s.g.n.now(t)
 	return core.EncodeStreamStatus(0)
@@ -521,9 +524,9 @@ func (g *Guard) consider(t *sim.Task, st *ckptState) {
 	g.recover(t, st)
 }
 
-// recover restarts the newest committed checkpoint locally: spool the
-// three dump files to /usr/tmp and run restart -p pid, exactly as the
-// streaming-migration destination does.
+// recover restarts the newest committed checkpoint locally: build its
+// three dump files, spool them to /usr/tmp and run restart -p pid, exactly
+// as the streaming-migration destination does.
 func (g *Guard) recover(t *sim.Task, st *ckptState) {
 	st.attempts++
 	m := g.n.m
@@ -537,7 +540,8 @@ func (g *Guard) recover(t *sim.Task, st *ckptState) {
 		m.Obs.Counter("ha.recovery_failures").Inc()
 		g.Recoveries = append(g.Recoveries, rec)
 	}
-	creds, _, err := core.DecodeStackHeader(st.stack)
+	aoutRaw, filesRaw, stackRaw := st.img.Spool()
+	creds, _, err := core.DecodeStackHeader(stackRaw)
 	if err != nil {
 		fail("bad stack header")
 		return
@@ -553,9 +557,9 @@ func (g *Guard) recover(t *sim.Task, st *ckptState) {
 		path string
 		data []byte
 	}{
-		{filesPath, st.files},
-		{stackPath, st.stack},
-		{aoutPath, st.aout},
+		{filesPath, filesRaw},
+		{stackPath, stackRaw},
+		{aoutPath, aoutRaw},
 	} {
 		t.Sleep(m.Costs.DiskLatency + sim.Duration(len(out.data))*m.Costs.DiskPerByte)
 		if werr := m.NS().WriteFile(out.path, out.data, 0o700, creds.UID, creds.GID); werr != nil {

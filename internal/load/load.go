@@ -187,7 +187,7 @@ func (g *Generator) request(tk *sim.Task, arrival sim.Time) {
 			g.breachCtr.Inc()
 			g.breaches = append(g.breaches, Breach{
 				Arrival: arrival, Done: now,
-				Latency: sim.Duration(now - arrival),
+				Latency:   sim.Duration(now - arrival),
 				HostStart: hostStart, Dropped: true,
 			})
 			return
@@ -208,7 +208,7 @@ func (g *Generator) request(tk *sim.Task, arrival sim.Time) {
 					g.breachCtr.Inc()
 					g.breaches = append(g.breaches, Breach{
 						Arrival: arrival, Done: done,
-						Latency: sim.Duration(lat),
+						Latency:   sim.Duration(lat),
 						HostStart: hostStart, Host: p.M.Name,
 					})
 				}

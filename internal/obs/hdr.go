@@ -15,10 +15,10 @@ import (
 )
 
 const (
-	hdrSubBits  = 5                // sub-buckets per octave = 2^5 = 32
-	hdrSubCount = 1 << hdrSubBits  // linear region: values 0..31 get exact buckets
-	hdrHalf     = hdrSubCount / 2  // each octave above the linear region has 16 buckets
-	hdrOctaves  = 63 - hdrSubBits  // octaves 2^5..2^62 inclusive
+	hdrSubBits  = 5               // sub-buckets per octave = 2^5 = 32
+	hdrSubCount = 1 << hdrSubBits // linear region: values 0..31 get exact buckets
+	hdrHalf     = hdrSubCount / 2 // each octave above the linear region has 16 buckets
+	hdrOctaves  = 63 - hdrSubBits // octaves 2^5..2^62 inclusive
 	hdrBuckets  = hdrSubCount + hdrOctaves*hdrHalf
 )
 

@@ -83,9 +83,9 @@ func TestWritePromDeterministic(t *testing.T) {
 
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
-		"kernel.dumps":       "procmig_kernel_dumps",
-		"load.latency_us":    "procmig_load_latency_us",
-		"weird-name.2x":      "procmig_weird_name_2x",
+		"kernel.dumps":         "procmig_kernel_dumps",
+		"load.latency_us":      "procmig_load_latency_us",
+		"weird-name.2x":        "procmig_weird_name_2x",
 		"kernel.trace_dropped": "procmig_kernel_trace_dropped",
 	}
 	for in, want := range cases {

@@ -316,7 +316,7 @@ func (c *CPU) ImagePages() []uint32 {
 		if n == 0 {
 			return
 		}
-		for pg := base >> PageShift; pg <= (base + uint32(n) - 1) >> PageShift; pg++ {
+		for pg := base >> PageShift; pg <= (base+uint32(n)-1)>>PageShift; pg++ {
 			seen[pg] = struct{}{}
 		}
 	}

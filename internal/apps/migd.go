@@ -7,10 +7,7 @@ import (
 	"procmig/internal/errno"
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
-	"procmig/internal/obs"
 	"procmig/internal/sim"
-	"procmig/internal/tty"
-	"procmig/internal/vm"
 )
 
 // Streaming migration ports: migd's pre-copy orchestrator and the image
@@ -68,11 +65,7 @@ func startStreamMigd(m *kernel.Machine, host *netsim.Host) error {
 			return nil, err
 		}
 		asm.SetStore(core.MachineStore(m))
-		return &migdSink{
-			m: m, st: migdStateFor(m), txn: asm.Hello().Txn, asm: asm,
-			recsIn:   m.Obs.Counter("stream.records_in"),
-			hashMism: m.Obs.Counter("stream.hash_mismatches"),
-		}, nil
+		return &migdSink{ImageSink: core.NewImageSink(m, asm), st: migdStateFor(m), txn: asm.Hello().Txn}, nil
 	})
 }
 
@@ -107,15 +100,7 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, host *netsim.Host, raw []byte
 		return fail(errno.EPERM.Error())
 	}
 
-	hello := &core.StreamHello{
-		PID:     uint32(req.PID),
-		ISA:     vm.MinISA(p.VM.Text),
-		Entry:   p.ExecEntry,
-		TextLen: uint32(len(p.VM.Text)),
-		DataLen: uint32(len(p.VM.Data)),
-		Txn:     req.Txn,
-		Source:  m.Name,
-	}
+	hello := core.HelloFor(p, req.Txn)
 	// The open handshake retries like any transaction call; a half-open
 	// stream is torn down server-side, so reopening is safe.
 	var stream *netsim.Stream
@@ -208,18 +193,12 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, host *netsim.Host, raw []byte
 		st.recordStream(sess.Stats())
 		return encode(&remoteResp{Status: 0})
 	}
-	core.ArmStreamDump(m, req.PID, sess)
-	if e := m.Kill(creds, req.PID, kernel.SIGDUMP); e != 0 {
-		core.DisarmStreamDump(m, req.PID)
+	// On commit the process dies, on abort it resumes where it was.
+	settled, e := core.DumpToStream(t, p, creds, sess)
+	if e != 0 {
 		return abort("dump: " + e.Error())
 	}
-	// The dump hook settles the transaction as the final delta ships: on
-	// commit the process dies, on abort it resumes where it was — so wait
-	// on the session, not the process's exit.
-	for !sess.Settled && p.State == kernel.ProcRunning {
-		t.WaitTimeout(&sess.DoneQ, 250*sim.Millisecond)
-	}
-	if !sess.Settled {
+	if !settled {
 		return fail("process died before the transfer settled")
 	}
 	st.recordStream(sess.Stats())
@@ -232,67 +211,19 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, host *netsim.Host, raw []byte
 	return encode(&remoteResp{Status: sess.Status, PID: sess.NewPID})
 }
 
-// migdSink is the destination side of one streaming migration: reassemble
-// the image, spool the three dump files to the local /usr/tmp, and restart
-// from them — no remote reads for the image. The spool is pure staging:
-// whatever the outcome, the files are removed once the restart has run
-// (or the stream died), and the verdict is recorded in the machine's
-// transaction table so the source can resolve a lost answer.
+// migdSink is the destination side of one streaming migration: the shared
+// core sink reassembles the image, and Done spools and restarts it through
+// the shared core step — no remote reads for the image. The verdict is
+// recorded in the machine's transaction table so the source can resolve a
+// lost answer.
 type migdSink struct {
-	m       *kernel.Machine
-	st      *migdState
-	txn     uint32
-	asm     *core.ImageAssembler
-	err     error
-	spooled []string // spool files written so far, removed on any exit path
-	settled bool
-	// Pre-resolved receive-side counters: Chunk runs per record on the
-	// steady-state path and must stay pointer arithmetic.
-	recsIn, hashMism *obs.Counter
-}
-
-func (s *migdSink) Chunk(t *sim.Task, rec []byte) {
-	if s.err != nil {
-		return
-	}
-	// Receive-side processing on the destination CPU.
-	if t != nil {
-		s.m.CPU().Use(t, s.m.Costs.StreamChunkBase+
-			sim.Duration(len(rec))*s.m.Costs.StreamPerByte, nil)
-	}
-	s.recsIn.Inc()
-	s.err = s.asm.Apply(rec)
-	if s.err == core.ErrHashMismatch {
-		s.hashMism.Inc()
-	}
-}
-
-// Sync answers the source's store-NACK poll: which speculative refs the
-// local store could not satisfy this round.
-func (s *migdSink) Sync(t *sim.Task, req []byte) []byte {
-	if t != nil {
-		s.m.CPU().Use(t, s.m.Costs.StreamChunkBase, nil)
-	}
-	return s.asm.SyncReply(req)
-}
-
-// discardSpool removes whatever dump files this stream spooled.
-func (s *migdSink) discardSpool() {
-	for _, path := range s.spooled {
-		s.m.NS().Remove(path)
-	}
-	s.spooled = nil
-}
-
-// seal records the stream's verdict in the transaction table.
-func (s *migdSink) seal(status int) {
-	s.settled = true
-	s.st.record(s.txn, status)
+	core.ImageSink
+	st  *migdState
+	txn uint32
 }
 
 func (s *migdSink) fail() []byte {
-	s.discardSpool()
-	s.seal(-1)
+	s.st.record(s.txn, -1)
 	return core.EncodeStreamStatus(-1)
 }
 
@@ -303,77 +234,38 @@ func (s *migdSink) Done(t *sim.Task) []byte {
 		}
 		return 0
 	}
-	if s.err != nil {
+	if s.Err != nil {
 		return s.fail()
 	}
-	pid := int(s.asm.Hello().PID)
-	ssp := s.m.Trace.Child(s.txn, "spool", s.m.Name, pid, at())
-	aoutRaw, filesRaw, stackRaw, err := s.asm.Spool()
+	m, pid := s.M, int(s.Asm.Hello().PID)
+	ssp := m.Trace.Child(s.txn, "spool", m.Name, pid, at())
+	aoutRaw, filesRaw, stackRaw, err := s.Asm.Spool()
 	if err != nil {
 		ssp.EndDetail(at(), "image incomplete")
 		return s.fail()
 	}
-	creds, _, err := core.DecodeStackHeader(stackRaw)
+	spool, err := core.SpoolImage(t, m, pid, aoutRaw, filesRaw, stackRaw)
 	if err != nil {
-		ssp.EndDetail(at(), "bad stack header")
+		ssp.EndDetail(at(), err.Error())
 		return s.fail()
-	}
-	aoutPath, filesPath, stackPath := core.DumpPaths("", pid)
-	costs := s.m.Costs
-	for _, out := range []struct {
-		path string
-		data []byte
-	}{
-		{filesPath, filesRaw},
-		{stackPath, stackRaw},
-		{aoutPath, aoutRaw},
-	} {
-		if t != nil {
-			t.Sleep(costs.DiskLatency + sim.Duration(len(out.data))*costs.DiskPerByte)
-		}
-		if werr := s.m.NS().WriteFile(out.path, out.data, 0o700, creds.UID, creds.GID); werr != nil {
-			ssp.EndDetail(at(), "spool write failed")
-			return s.fail()
-		}
-		s.spooled = append(s.spooled, out.path)
 	}
 	ssp.EndDetail(at(), strconv.Itoa(len(aoutRaw)+len(filesRaw)+len(stackRaw))+" B in 3 files")
-	// restart -p pid with no -h: the image comes off the local spool.
-	rsp := s.m.Trace.Child(s.txn, "restart", s.m.Name, pid, at())
-	pty := tty.NewNetworkPTY(s.m.Engine(), "migd-pty")
-	kcreds := kernel.Creds{UID: creds.UID, GID: creds.GID, EUID: creds.UID, EGID: creds.GID}
-	stdio := s.m.NewTerminalFile(kernel.NewTTYDevice(pty))
-	rp, err := s.m.Spawn(kernel.SpawnSpec{
-		Path:       "/bin/" + core.ProgRestart,
-		Args:       []string{core.ProgRestart, "-p", strconv.Itoa(pid)},
-		Creds:      kcreds,
-		CWD:        "/",
-		TTY:        pty,
-		InheritFDs: []*kernel.File{stdio, stdio, stdio},
-	})
+	rsp := m.Trace.Child(s.txn, "restart", m.Name, pid, at())
+	status, newPID, err := spool.Restart(t, "migd-pty")
 	if err != nil {
-		rsp.EndDetail(at(), "spawn failed")
+		rsp.EndDetail(at(), err.Error())
 		return s.fail()
 	}
-	status, _ := rp.AwaitExitOrMigrated(t)
 	rsp.EndDetail(at(), "status "+strconv.Itoa(status))
-	// restart has read the spool into the (now live) copy, or failed;
-	// either way the staging files must not linger.
-	s.discardSpool()
-	s.seal(status)
-	// The restart process became the restored process, so its pid is the
-	// migrated copy's new identity — ship it back with the verdict.
-	return core.EncodeStreamStatusPID(status, rp.PID)
+	s.st.record(s.txn, status)
+	// Ship the restored copy's new pid back with the verdict.
+	return core.EncodeStreamStatusPID(status, newPID)
 }
 
-// Abort runs when the stream dies before a successful Close: the opener
-// gave up, or the half-open connection timed out. Partial spool files are
-// removed — they used to leak — and the transaction is sealed aborted so
-// a source resolve query gets a definite answer.
+// Abort runs when the stream dies before Close reaches Done: the opener
+// gave up, or the half-open connection timed out. Nothing was spooled
+// (only Done spools); the transaction is recorded aborted so a source
+// resolve query gets a definite answer.
 func (s *migdSink) Abort(_ *sim.Task) {
-	if s.settled {
-		return
-	}
-	s.discardSpool()
-	s.seal(-1)
+	s.st.record(s.txn, -1)
 }

@@ -41,26 +41,26 @@ const (
 	RecPageZero byte = 5 // u32 page number; the page is all zeros
 	RecPageRef  byte = 6 // u32 page number, u64 hash: dest already holds these bytes
 	RecPageLZ   byte = 7 // u32 page number, u32 frameLen, LZ frame (decodes to one page)
-	// RecPageStoreRef is the cross-session ref: u32 page number, u64 hash,
-	// same 13-byte shape as RecPageRef but resolved against the host-wide
-	// page store rather than the session hash table. It is speculative — the
-	// source trusts a bloom summary, so a miss is not an error: the
-	// destination records it and reports it on the next store-NACK poll
-	// (Stream.Sync) for the source to resend. Only a poisoned store entry
-	// (re-verification mismatch) fails the transfer.
-	RecPageStoreRef byte = 8
+	// Type 8 is retired (it carried one speculative ref; batches carry them
+	// all) and must not be reused: the assembler rejects it as unknown.
+
 	// RecStoreNack is the one-byte Stream.Sync query: "which speculative
 	// refs could your store not satisfy?" The reply is u32 n, then n sorted
 	// u32 page numbers. Idempotent: satisfied pages leave the list as their
 	// bytes arrive, so polling twice is harmless.
 	RecStoreNack byte = 9
-	// RecPageStoreRefBatch aggregates speculative refs: u32 n, then n
-	// (u32 page number, u64 hash) pairs. Semantically identical to n
-	// RecPageStoreRef records, but one record instead of n: a mass-drain
-	// round whose pages all sit in the destination store would otherwise
-	// pay hundreds of per-record fixed costs (send/receive CPU charges and
-	// wire latency, each of which can queue behind a full scheduler quantum
-	// on a contended host) to ship a few kilobytes of refs.
+	// RecPageStoreRefBatch carries speculative cross-session refs: u32 n,
+	// then n (u32 page number, u64 hash) pairs, each resolved against the
+	// host-wide page store rather than the session hash table. A ref is
+	// speculative — the source trusts a bloom summary, so a miss is not an
+	// error: the destination records it and reports it on the next
+	// store-NACK poll (Stream.Sync) for the source to resend. Only a
+	// poisoned store entry (re-verification mismatch) fails the transfer.
+	// Refs travel only in batches: a mass-drain round whose pages all sit
+	// in the destination store would otherwise pay hundreds of per-record
+	// fixed costs (send/receive CPU charges and wire latency, each of which
+	// can queue behind a full scheduler quantum on a contended host) to
+	// ship a few kilobytes of refs.
 	RecPageStoreRefBatch byte = 10
 )
 
@@ -247,12 +247,6 @@ func appendPageRefRec(b []byte, pg uint32, h uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, h)
 }
 
-func appendPageStoreRefRec(b []byte, pg uint32, h uint64) []byte {
-	b = append(b, RecPageStoreRef)
-	b = binary.BigEndian.AppendUint32(b, pg)
-	return binary.BigEndian.AppendUint64(b, h)
-}
-
 // specRef is one queued speculative ref awaiting the end-of-round batch
 // flush: the page number and the content hash the summary matched.
 type specRef struct {
@@ -374,10 +368,11 @@ type StreamSession struct {
 	Store *PageStore
 
 	// Remote, when set, is the destination host's advertised store summary.
-	// A page the summary claims the destination holds ships as a 13-byte
-	// speculative RecPageStoreRef; the summary is a bloom filter, so false
-	// positives are expected and repaired by the store-NACK poll at the end
-	// of each round — correctness never depends on the filter.
+	// A page the summary claims the destination holds ships as a 12-byte
+	// speculative ref in a RecPageStoreRefBatch; the summary is a bloom
+	// filter, so false positives are expected and repaired by the
+	// store-NACK poll at the end of each round — correctness never depends
+	// on the filter.
 	Remote *StoreSummary
 
 	// NewPID is the pid the restored copy runs under on the destination,
@@ -1074,7 +1069,7 @@ type ImageAssembler struct {
 	// lockstep with the source discarding its sentHashes.
 	hashes map[uint32]uint64
 	// store, when set, is the destination host's page store: speculative
-	// RecPageStoreRefs resolve against it, and every verified page that
+	// refs resolve against it, and every verified page that
 	// arrives by value feeds it. Outlives the assembler — that asymmetry
 	// with hashes is the whole point of the store.
 	store *PageStore
@@ -1189,13 +1184,6 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 			return ErrHashMismatch
 		}
 		delete(a.specMiss, pg)
-	case RecPageStoreRef:
-		pg := r.pg()
-		h := r.u64()
-		if r.err != nil {
-			return r.err
-		}
-		return a.applyStoreRef(pg, h)
 	case RecPageStoreRefBatch:
 		n := int(r.u32())
 		if r.err != nil {

@@ -210,8 +210,14 @@ func TestAssemblerRejectsBadInput(t *testing.T) {
 	if err := asm.Apply(nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
-	if err := asm.Apply([]byte{99, 0, 0}); err == nil {
-		t.Fatal("unknown record type accepted")
+	for name, rec := range map[string][]byte{
+		"unknown type": {99, 0, 0},
+		// The retired single speculative ref (type 8, page 0, a hash).
+		"single store ref": append([]byte{8, 0, 0, 0, 0}, make([]byte, 8)...),
+	} {
+		if err := asm.Apply(rec); err != ErrBadMagic {
+			t.Fatalf("%s: err %v, want ErrBadMagic", name, err)
+		}
 	}
 	// Text chunk overflowing the declared text length.
 	if err := asm.Apply(encodeTextRec(90, make([]byte, 20))); err == nil {

@@ -9,10 +9,7 @@ import (
 	"procmig/internal/errno"
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
-	"procmig/internal/obs"
 	"procmig/internal/sim"
-	"procmig/internal/tty"
-	"procmig/internal/vm"
 )
 
 // The guardian (guardd) is the availability half of the control plane.
@@ -266,16 +263,7 @@ func (g *Guard) checkpoint(t *sim.Task, pr *protection) bool {
 		pr.broken = false
 		p.VM.SetDirtyTracking(true)
 	}
-	inner := &core.StreamHello{
-		PID:     uint32(pr.pid),
-		ISA:     vm.MinISA(p.VM.Text),
-		Entry:   p.ExecEntry,
-		TextLen: uint32(len(p.VM.Text)),
-		DataLen: uint32(len(p.VM.Data)),
-		Txn:     pr.txn,
-		Source:  m.Name,
-	}
-	hello := EncodeGuardHello(pr.gen, inner.Encode())
+	hello := EncodeGuardHello(pr.gen, core.HelloFor(p, pr.txn).Encode())
 	csp := m.Trace.Child(pr.txn, "ckpt", m.Name, pr.pid, t.Now())
 	stream, err := g.openRetry(t, pr.buddy, hello)
 	if err != nil {
@@ -293,19 +281,15 @@ func (g *Guard) checkpoint(t *sim.Task, pr *protection) bool {
 	// protection); take before/after deltas so the Guard counters reflect
 	// this checkpoint's traffic alone, success or not.
 	wb0, sb0 := sess.WireBytes, sess.SavedBytes
-	core.ArmStreamDump(m, pr.pid, sess)
-	if e := m.Kill(kernel.Creds{}, pr.pid, kernel.SIGDUMP); e != 0 {
-		core.DisarmStreamDump(m, pr.pid)
+	settled, e := core.DumpToStream(t, p, kernel.Creds{}, sess)
+	if e != 0 {
 		stream.Abort(t)
 		csp.EndDetail(t.Now(), "signal: "+e.Error())
 		m.Obs.Counter("ha.ckpt_failures").Inc()
 		pr.broken = true
 		return true
 	}
-	for !sess.Settled && p.State == kernel.ProcRunning {
-		t.WaitTimeout(&sess.DoneQ, 250*sim.Millisecond)
-	}
-	if !sess.Settled {
+	if !settled {
 		// The process died between the signal and the dump.
 		stream.Abort(t)
 		csp.EndDetail(t.Now(), "victim died")
@@ -391,48 +375,27 @@ func (g *Guard) acceptSpool(_ *sim.Task, from string, helloRaw []byte) (netsim.S
 		st.txn = asm.Hello().Txn
 	}
 	st.released = false // the source is actively guarding it again
-	return &guardSink{
-		g: g, st: st,
-		recsIn:   g.n.m.Obs.Counter("stream.records_in"),
-		hashMism: g.n.m.Obs.Counter("stream.hash_mismatches"),
-	}, nil
+	return &guardSink{ImageSink: core.NewImageSink(g.n.m, st.asm), g: g, st: st}, nil
 }
 
 // guardSink consumes one checkpoint stream into the protection's
-// assembler. Done commits: it snapshots the assembler as the newest
-// committed image. Abort keeps the previous one. The half-received delta
-// stays in the assembler (until the source resyncs a full image under a
-// new generation), but the assembler is copy-on-write after a commit, so
-// nothing it holds can change a committed image.
+// assembler through the shared core sink. Done commits: it snapshots the
+// assembler as the newest committed image. Abort keeps the previous one.
+// The half-received delta stays in the assembler (until the source
+// resyncs a full image under a new generation), but the assembler is
+// copy-on-write after a commit, so nothing it holds can change a
+// committed image.
 type guardSink struct {
-	g   *Guard
-	st  *ckptState
-	err error
-	// Pre-resolved receive-side counters (Chunk runs per record).
-	recsIn, hashMism *obs.Counter
-}
-
-func (s *guardSink) Chunk(t *sim.Task, rec []byte) {
-	if s.err != nil {
-		return
-	}
-	m := s.g.n.m
-	if t != nil {
-		m.CPU().Use(t, m.Costs.StreamChunkBase+
-			sim.Duration(len(rec))*m.Costs.StreamPerByte, nil)
-	}
-	s.recsIn.Inc()
-	s.err = s.st.asm.Apply(rec)
-	if s.err == core.ErrHashMismatch {
-		s.hashMism.Inc()
-	}
+	core.ImageSink
+	g  *Guard
+	st *ckptState
 }
 
 func (s *guardSink) Done(t *sim.Task) []byte {
-	if s.err != nil {
+	if s.Err != nil {
 		return core.EncodeStreamStatus(-1)
 	}
-	img, err := s.st.asm.Commit()
+	img, err := s.Asm.Commit()
 	if err != nil {
 		return core.EncodeStreamStatus(-1)
 	}
@@ -443,16 +406,6 @@ func (s *guardSink) Done(t *sim.Task) []byte {
 }
 
 func (s *guardSink) Abort(_ *sim.Task) {}
-
-// Sync answers the source's store-NACK poll against the protection's
-// assembler.
-func (s *guardSink) Sync(t *sim.Task, req []byte) []byte {
-	m := s.g.n.m
-	if t != nil {
-		m.CPU().Use(t, m.Costs.StreamChunkBase, nil)
-	}
-	return s.st.asm.SyncReply(req)
-}
 
 // monitorLoop is guardd's buddy half: watch the membership table and
 // recover protections whose source is confirmed dead.
@@ -525,8 +478,8 @@ func (g *Guard) consider(t *sim.Task, st *ckptState) {
 }
 
 // recover restarts the newest committed checkpoint locally: build its
-// three dump files, spool them to /usr/tmp and run restart -p pid, exactly
-// as the streaming-migration destination does.
+// three dump files and spool and restart them through the same core step
+// as the streaming-migration destination.
 func (g *Guard) recover(t *sim.Task, st *ckptState) {
 	st.attempts++
 	m := g.n.m
@@ -541,59 +494,23 @@ func (g *Guard) recover(t *sim.Task, st *ckptState) {
 		g.Recoveries = append(g.Recoveries, rec)
 	}
 	aoutRaw, filesRaw, stackRaw := st.img.Spool()
-	creds, _, err := core.DecodeStackHeader(stackRaw)
+	spool, err := core.SpoolImage(t, m, st.pid, aoutRaw, filesRaw, stackRaw)
 	if err != nil {
-		fail("bad stack header")
+		fail(err.Error())
 		return
 	}
-	aoutPath, filesPath, stackPath := core.DumpPaths("", st.pid)
-	spooled := []string{}
-	discard := func() {
-		for _, path := range spooled {
-			m.NS().Remove(path)
-		}
-	}
-	for _, out := range []struct {
-		path string
-		data []byte
-	}{
-		{filesPath, filesRaw},
-		{stackPath, stackRaw},
-		{aoutPath, aoutRaw},
-	} {
-		t.Sleep(m.Costs.DiskLatency + sim.Duration(len(out.data))*m.Costs.DiskPerByte)
-		if werr := m.NS().WriteFile(out.path, out.data, 0o700, creds.UID, creds.GID); werr != nil {
-			discard()
-			fail("spool write failed")
-			return
-		}
-		spooled = append(spooled, out.path)
-	}
-	pty := tty.NewNetworkPTY(m.Engine(), "guardd-pty")
-	kcreds := kernel.Creds{UID: creds.UID, GID: creds.GID, EUID: creds.UID, EGID: creds.GID}
-	stdio := m.NewTerminalFile(kernel.NewTTYDevice(pty))
-	rp, err := m.Spawn(kernel.SpawnSpec{
-		Path:       "/bin/" + core.ProgRestart,
-		Args:       []string{core.ProgRestart, "-p", strconv.Itoa(st.pid)},
-		Creds:      kcreds,
-		CWD:        "/",
-		TTY:        pty,
-		InheritFDs: []*kernel.File{stdio, stdio, stdio},
-	})
+	status, newPID, err := spool.Restart(t, "guardd-pty")
 	if err != nil {
-		discard()
-		fail("spawn failed")
+		fail(err.Error())
 		return
 	}
-	status, _ := rp.AwaitExitOrMigrated(t)
-	discard()
 	rec.Status = status
 	if status == 0 {
 		st.recovered = true
-		rec.NewPID = rp.PID
+		rec.NewPID = newPID
 		m.Obs.Counter("ha.recoveries").Inc()
 		m.Obs.Counter("ha.lost_work_us").Add(lost)
-		sp.EndDetail(t.Now(), "pid "+strconv.Itoa(rp.PID)+" from seq "+strconv.Itoa(st.seq))
+		sp.EndDetail(t.Now(), "pid "+strconv.Itoa(newPID)+" from seq "+strconv.Itoa(st.seq))
 	} else {
 		sp.EndDetail(t.Now(), "restart status "+strconv.Itoa(status))
 		m.Obs.Counter("ha.recovery_failures").Inc()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"procmig/internal/cluster"
+	"procmig/internal/core"
 	"procmig/internal/ha"
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
@@ -139,7 +140,7 @@ func TestHeartbeatViewConverges(t *testing.T) {
 
 // TestGuardianRecoversCrash: a protected hog's host crashes; the buddy
 // detects, arbitrates, and restarts the newest committed checkpoint, and
-// the cluster ends with exactly one live copy.
+// the cluster ends with exactly one live copy and no spool left behind.
 func TestGuardianRecoversCrash(t *testing.T) {
 	c := bootHA(t, ha.Config{Interval: sim.Second, CkptInterval: 2 * sim.Second},
 		"alpha", "beta", "gamma")
@@ -167,6 +168,14 @@ func TestGuardianRecoversCrash(t *testing.T) {
 			tk.Sleep(250 * sim.Millisecond)
 		}
 		recs = append([]ha.Recovery(nil), buddy.Recoveries...)
+		// The dump files recovery spooled to the buddy's /usr/tmp were
+		// pure staging for restart, and must be gone once it ran.
+		aoutPath, filesPath, stackPath := core.DumpPaths("", hog.PID)
+		for _, path := range []string{aoutPath, filesPath, stackPath} {
+			if _, err := c.Machine("beta").NS().ReadFile(path); err == nil {
+				t.Errorf("spool file %s leaked on the buddy after recovery", path)
+			}
+		}
 		tk.Sleep(sim.Second)
 		if hog.State == kernel.ProcRunning {
 			liveCopies++

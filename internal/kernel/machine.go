@@ -142,15 +142,17 @@ type Machine struct {
 // kernelObs is the kernel's instrumentation: every field resolved once so
 // hot paths pay one pointer dereference per event.
 type kernelObs struct {
-	sigPosted  *obs.Counter   // signals posted via Kill
-	sigCaught  *obs.Counter   // signals delivered to handlers
-	syscalls   *obs.Counter   // system calls entered (hosted + VM)
-	sysTimeUS  *obs.Counter   // µs of system CPU charged
-	dumps      *obs.Counter   // SIGDUMP dumps attempted
-	dumpAborts *obs.Counter   // dumps that aborted and resumed the victim
-	traceDrops *obs.Counter   // ktrace ring-buffer entries discarded
-	frozen     *obs.Gauge     // processes currently inside a dump freeze
-	dumpReal   *obs.Histogram // real time of each dump window (µs)
+	sigPosted  *obs.Counter // signals posted via Kill
+	sigCaught  *obs.Counter // signals delivered to handlers
+	syscalls   *obs.Counter // system calls entered (hosted + VM)
+	sysTimeUS  *obs.Counter // µs of system CPU charged
+	dumps      *obs.Counter // SIGDUMP dumps attempted
+	dumpAborts *obs.Counter // dumps that aborted and resumed the victim
+	traceDrops *obs.Counter // ktrace ring-buffer entries discarded
+	frozen     *obs.Gauge   // processes currently inside a dump freeze
+	// dumpReal is the real time of each dump window (µs), resolved on the
+	// first dump: most hosts never dump, and an HDR is not small.
+	dumpReal *obs.HDR
 }
 
 func (m *Machine) resolveObs() {
@@ -164,7 +166,6 @@ func (m *Machine) resolveObs() {
 		dumpAborts: s.Counter("kernel.dump_aborts"),
 		traceDrops: s.Counter("kernel.trace_dropped"),
 		frozen:     s.Gauge("kernel.frozen"),
-		dumpReal:   s.Histogram("kernel.dump_real_us", obs.LatencyBuckets),
 	}
 }
 

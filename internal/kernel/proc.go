@@ -398,6 +398,9 @@ func (p *Proc) deliverSignals() bool {
 						CPU:  p.STime - scpu,
 						Real: sim.Duration(p.task.Now() - start),
 					}
+					if p.M.kobs.dumpReal == nil {
+						p.M.kobs.dumpReal = p.M.Obs.HDR("kernel.dump_real_us")
+					}
 					p.M.kobs.dumpReal.Observe(int64(p.M.Metrics.LastDump.Real))
 					if e == errno.ERESTART {
 						p.M.kobs.dumpAborts.Inc()

@@ -3,8 +3,7 @@
 // is bounded (~3% with 5 sub-bucket bits) across twelve orders of magnitude,
 // the whole structure is a fixed array (mergeable by element-wise addition,
 // Observe allocates nothing), and quantiles come from a single forward scan.
-// The fixed-bucket Histogram keeps its role for coarse size/latency shapes;
-// HDR is for client-visible latency where p99/p999 matter.
+// It is the registry's one histogram kind.
 package obs
 
 import (

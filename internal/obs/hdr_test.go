@@ -183,21 +183,24 @@ func TestSnapshotAndTotalsMergeHDR(t *testing.T) {
 	if tot.Detail != wantDetail {
 		t.Fatalf("totals detail = %q, want %q", tot.Detail, wantDetail)
 	}
-	// Fixed-bucket histograms merge across hosts too.
-	reg.Scope("alpha").Histogram("x.hist", LatencyBuckets).Observe(50)
-	reg.Scope("beta").Histogram("x.hist", LatencyBuckets).Observe(5_000_000)
+	// Plain (unwindowed) histograms merge across hosts too.
+	reg.Scope("alpha").HDR("x.hist").Observe(50)
+	reg.Scope("beta").HDR("x.hist").Observe(5_000_000)
 	for _, row := range reg.Totals() {
 		if row.Name == "x.hist" {
 			if row.Value != 5_000_050 {
 				t.Fatalf("merged hist sum = %d", row.Value)
 			}
-			if row.Detail != "n=2 <=100:1 <=10000000:1" {
-				t.Fatalf("merged hist detail = %q", row.Detail)
+			var want HDR
+			want.Observe(50)
+			want.Observe(5_000_000)
+			if row.Detail != want.Summary() {
+				t.Fatalf("merged hist detail = %q, want %q", row.Detail, want.Summary())
 			}
 			return
 		}
 	}
-	t.Fatal("fixed histogram missing from totals")
+	t.Fatal("plain histogram missing from totals")
 }
 
 func TestHDRSummaryFormat(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package obs is the observability layer: a metrics registry (counters,
-// gauges, fixed-bucket histograms) and a span tracer, both running entirely
+// gauges, HDR histograms) and a span tracer, both running entirely
 // on simulated time. The paper evaluated migration with a handful of
 // hand-timed numbers; this package is the general version — every subsystem
 // (kernel, core stream engine, netsim, migd transactions, ha guardians)
@@ -11,14 +11,13 @@
 //     the same metrics and the same trace, bit for bit.
 //  2. Zero allocations on hot paths. Callers resolve counters once (get-or-
 //     create returns a stable pointer) and increment through the pointer;
-//     Observe on a histogram touches only fixed arrays. The simulation
+//     Observe on a histogram touches only a fixed array. The simulation
 //     engine runs one task at a time with channel handoffs, so plain int64
 //     arithmetic is safe without atomics.
 //  3. Deterministic output. Snapshots sort by host then name.
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -49,66 +48,6 @@ func (g *Gauge) Add(n int64) { g.v += n }
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v }
 
-// Histogram counts observations into fixed buckets. The bounds slice is
-// shared between histograms (the package-level bucket sets), never written;
-// counts[i] holds observations <= Bounds[i], counts[len(Bounds)] the rest.
-type Histogram struct {
-	bounds []int64
-	counts []int64
-	n, sum int64
-}
-
-// LatencyBuckets is the shared bucket set for durations, in microseconds
-// (sim.Duration's unit): 100µs up to 100s.
-var LatencyBuckets = []int64{
-	100, 1000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000,
-}
-
-// SizeBuckets is the shared bucket set for byte counts: 256 B up to 4 MiB.
-var SizeBuckets = []int64{
-	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20,
-}
-
-// Observe records one value. Allocation-free: a linear scan over at most a
-// dozen bounds is cheaper than the binary search's branch misses at these
-// sizes.
-func (h *Histogram) Observe(v int64) {
-	h.n++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count reports how many values were observed.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Sum reports the total of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Buckets renders the non-empty buckets as "<=bound:count" pairs.
-func (h *Histogram) Buckets() string {
-	out := ""
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if out != "" {
-			out += " "
-		}
-		if i < len(h.bounds) {
-			out += fmt.Sprintf("<=%d:%d", h.bounds[i], c)
-		} else {
-			out += fmt.Sprintf(">%d:%d", h.bounds[len(h.bounds)-1], c)
-		}
-	}
-	return out
-}
-
 // Scope is one host's (or one subsystem's) named metrics. Get-or-create
 // lookups return stable pointers, so wiring code resolves each metric once
 // and hot paths pay only a pointer dereference.
@@ -118,8 +57,10 @@ type Scope struct {
 
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	winds    map[string]*WindowedHDR
+	// hdrs is every histogram the scope renders: the plain ones and the
+	// all-time totals of the windowed ones, which share one namespace.
+	hdrs  map[string]*HDR
+	winds map[string]*WindowedHDR
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -146,15 +87,16 @@ func (s *Scope) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use (later callers get the original regardless of bounds).
-func (s *Scope) Histogram(name string, bounds []int64) *Histogram {
+// HDR returns the named histogram, creating it on first use. Create it
+// where the first value arrives, not at wiring time: an HDR is a ~7.7 KB
+// array, which a scope that never observes anything should not carry.
+func (s *Scope) HDR(name string) *HDR {
 	s.reg.mu.Lock()
 	defer s.reg.mu.Unlock()
-	h := s.hists[name]
+	h := s.hdrs[name]
 	if h == nil {
-		h = &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-		s.hists[name] = h
+		h = &HDR{}
+		s.hdrs[name] = h
 	}
 	return h
 }
@@ -170,6 +112,7 @@ func (s *Scope) Windowed(name string, width sim.Duration) *WindowedHDR {
 	if w == nil {
 		w = NewWindowedHDR(width)
 		s.winds[name] = w
+		s.hdrs[name] = &w.total
 	}
 	return w
 }
@@ -201,7 +144,7 @@ func (r *Registry) Scope(host string) *Scope {
 			host: host, reg: r,
 			counters: map[string]*Counter{},
 			gauges:   map[string]*Gauge{},
-			hists:    map[string]*Histogram{},
+			hdrs:     map[string]*HDR{},
 			winds:    map[string]*WindowedHDR{},
 		}
 		r.scopes[host] = s
@@ -222,12 +165,12 @@ func (r *Registry) Hosts() []string {
 }
 
 // Row is one rendered metric: a counter or gauge Value, or a histogram
-// (Value = sum, Detail = count and buckets).
+// (Value = sum, Detail = count and quantiles).
 type Row struct {
 	Host   string
 	Name   string
 	Value  int64
-	Detail string // histograms: "n=<count> <buckets>"; otherwise empty
+	Detail string // histograms: HDR.Summary; otherwise empty
 }
 
 // Snapshot renders every metric, sorted by host then name — deterministic
@@ -243,17 +186,8 @@ func (r *Registry) Snapshot() []Row {
 		for name, g := range s.gauges {
 			out = append(out, Row{Host: host, Name: name, Value: g.v})
 		}
-		for name, h := range s.hists {
-			out = append(out, Row{
-				Host: host, Name: name, Value: h.sum,
-				Detail: fmt.Sprintf("n=%d %s", h.n, h.Buckets()),
-			})
-		}
-		for name, w := range s.winds {
-			out = append(out, Row{
-				Host: host, Name: name, Value: w.total.sum,
-				Detail: w.total.Summary(),
-			})
+		for name, h := range s.hdrs {
+			out = append(out, Row{Host: host, Name: name, Value: h.sum, Detail: h.Summary()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -290,14 +224,11 @@ func (r *Registry) CounterRows() []Row {
 // Totals renders the cluster-wide view, sorted by name: counters and gauges
 // of the same name sum across hosts, and histograms of the same name *merge*
 // — bucket-wise, so the merged quantiles are the quantiles of the union
-// (averaging per-host percentiles would be wrong). Fixed-bucket histograms
-// merge only when their bounds agree (they always do: bounds come from the
-// shared package-level sets).
+// (averaging per-host percentiles would be wrong).
 func (r *Registry) Totals() []Row {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sums := map[string]int64{}
-	hists := map[string]*Histogram{}
 	hdrs := map[string]*HDR{}
 	for _, s := range r.scopes {
 		for name, c := range s.counters {
@@ -306,39 +237,18 @@ func (r *Registry) Totals() []Row {
 		for name, g := range s.gauges {
 			sums[name] += g.v
 		}
-		for name, h := range s.hists {
-			m := hists[name]
-			if m == nil {
-				m = &Histogram{bounds: h.bounds, counts: make([]int64, len(h.counts))}
-				hists[name] = m
-			}
-			if len(m.counts) != len(h.counts) {
-				continue // foreign bounds: leave the row per-host only
-			}
-			for i, c := range h.counts {
-				m.counts[i] += c
-			}
-			m.n += h.n
-			m.sum += h.sum
-		}
-		for name, w := range s.winds {
+		for name, h := range s.hdrs {
 			m := hdrs[name]
 			if m == nil {
 				m = &HDR{}
 				hdrs[name] = m
 			}
-			m.Merge(&w.total)
+			m.Merge(h)
 		}
 	}
-	out := make([]Row, 0, len(sums)+len(hists)+len(hdrs))
+	out := make([]Row, 0, len(sums)+len(hdrs))
 	for name, v := range sums {
 		out = append(out, Row{Name: name, Value: v})
-	}
-	for name, h := range hists {
-		out = append(out, Row{
-			Name: name, Value: h.sum,
-			Detail: fmt.Sprintf("n=%d %s", h.n, h.Buckets()),
-		})
 	}
 	for name, h := range hdrs {
 		out = append(out, Row{Name: name, Value: h.sum, Detail: h.Summary()})

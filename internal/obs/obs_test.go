@@ -26,7 +26,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
 	}
-	h := s.Histogram("x.hist", LatencyBuckets)
+	h := s.HDR("x.hist")
 	for _, v := range []int64{50, 500, 5_000_000, 1 << 40} {
 		h.Observe(v)
 	}
@@ -36,7 +36,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if h.Sum() != 50+500+5_000_000+(1<<40) {
 		t.Fatalf("histogram sum = %d", h.Sum())
 	}
-	if again := s.Histogram("x.hist", LatencyBuckets); again != h {
+	if again := s.HDR("x.hist"); again != h {
 		t.Fatal("get-or-create returned a different histogram pointer")
 	}
 }

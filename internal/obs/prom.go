@@ -11,11 +11,10 @@ import (
 // families sorted by metric name, samples sorted by host — so two renders
 // of the same registry are byte-identical and diffs are meaningful.
 //
-// Mapping: counters and gauges keep their kind; fixed-bucket Histograms
-// become native histogram families (cumulative _bucket/_sum/_count);
-// windowed HDR histograms become summary families (pre-computed
-// quantile={0.5,0.99,0.999} samples plus _sum/_count), since their
-// log-spaced buckets have no useful `le` rendering.
+// Mapping: counters and gauges keep their kind; HDR histograms (plain or
+// windowed) become summary families (pre-computed quantile={0.5,0.99,0.999}
+// samples plus _sum/_count), since their log-spaced buckets have no useful
+// `le` rendering.
 
 // promName mangles a dotted metric name into the prometheus charset with
 // the repo's namespace prefix: "kernel.dump_real_us" → "procmig_kernel_dump_real_us".
@@ -102,34 +101,8 @@ func WriteProm(w io.Writer, r *Registry) error {
 	}
 
 	for _, name := range names(func(s *Scope) []string {
-		out := make([]string, 0, len(s.hists))
-		for n := range s.hists {
-			out = append(out, n)
-		}
-		return out
-	}) {
-		pn := promName(name)
-		p("# TYPE %s histogram\n", pn)
-		for _, h := range hosts {
-			hist, ok := r.scopes[h].hists[name]
-			if !ok {
-				continue
-			}
-			var cum int64
-			for i, b := range hist.bounds {
-				cum += hist.counts[i]
-				p("%s_bucket{host=%q,le=\"%d\"} %d\n", pn, h, b, cum)
-			}
-			cum += hist.counts[len(hist.bounds)]
-			p("%s_bucket{host=%q,le=\"+Inf\"} %d\n", pn, h, cum)
-			p("%s_sum{host=%q} %d\n", pn, h, hist.sum)
-			p("%s_count{host=%q} %d\n", pn, h, hist.n)
-		}
-	}
-
-	for _, name := range names(func(s *Scope) []string {
-		out := make([]string, 0, len(s.winds))
-		for n := range s.winds {
+		out := make([]string, 0, len(s.hdrs))
+		for n := range s.hdrs {
 			out = append(out, n)
 		}
 		return out
@@ -137,11 +110,10 @@ func WriteProm(w io.Writer, r *Registry) error {
 		pn := promName(name)
 		p("# TYPE %s summary\n", pn)
 		for _, h := range hosts {
-			wh, ok := r.scopes[h].winds[name]
+			t, ok := r.scopes[h].hdrs[name]
 			if !ok {
 				continue
 			}
-			t := &wh.total
 			p("%s{host=%q,quantile=\"0.5\"} %d\n", pn, h, t.P50())
 			p("%s{host=%q,quantile=\"0.99\"} %d\n", pn, h, t.P99())
 			p("%s{host=%q,quantile=\"0.999\"} %d\n", pn, h, t.P999())

@@ -15,7 +15,7 @@ func promFixture() *Registry {
 	reg.Scope("alpha").Counter("migd.streams").Add(3)
 	reg.Scope("alpha").Counter("kernel.dumps").Inc()
 	reg.Scope("alpha").Gauge("migd.txn_table").Set(7)
-	h := reg.Scope("zeta").Histogram("net.rtt_us", LatencyBuckets)
+	h := reg.Scope("zeta").HDR("net.rtt_us")
 	h.Observe(50)
 	h.Observe(2_000_000)
 	w := reg.Scope("lg0").Windowed("load.latency_us", sim.Second)
@@ -47,13 +47,14 @@ func TestWritePromDeterministic(t *testing.T) {
 		`procmig_migd_streams{host="zeta"} 2`,
 		"# TYPE procmig_migd_txn_table gauge",
 		`procmig_migd_txn_table{host="alpha"} 7`,
-		"# TYPE procmig_net_rtt_us histogram",
-		`procmig_net_rtt_us_bucket{host="zeta",le="100"} 1`,
-		`procmig_net_rtt_us_bucket{host="zeta",le="+Inf"} 2`,
-		`procmig_net_rtt_us_count{host="zeta"} 2`,
 		"# TYPE procmig_load_latency_us summary",
 		`procmig_load_latency_us{host="lg0",quantile="0.5"} `,
 		`procmig_load_latency_us_count{host="lg0"} 2`,
+		"# TYPE procmig_net_rtt_us summary",
+		`procmig_net_rtt_us{host="zeta",quantile="0.5"} `,
+		`procmig_net_rtt_us{host="zeta",quantile="0.99"} `,
+		`procmig_net_rtt_us_sum{host="zeta"} 2000050`,
+		`procmig_net_rtt_us_count{host="zeta"} 2`,
 	}
 	pos := -1
 	for _, want := range wantOrder {
@@ -66,9 +67,9 @@ func TestWritePromDeterministic(t *testing.T) {
 		}
 		pos = i
 	}
-	// Cumulative bucket counts: the 10s bucket already includes the 100µs one.
-	if !strings.Contains(out, `procmig_net_rtt_us_bucket{host="zeta",le="10000000"} 2`) {
-		t.Fatalf("histogram buckets not cumulative:\n%s", out)
+	// One histogram kind: no native-histogram family is left.
+	if strings.Contains(out, " histogram\n") || strings.Contains(out, "_bucket{") {
+		t.Fatalf("histogram rendered with buckets:\n%s", out)
 	}
 	// Every non-comment line is "name{labels} value".
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {

@@ -168,9 +168,10 @@ func (p *Proc) fork() (int, errno.Errno) {
 	return child.PID, 0
 }
 
-// wait implements wait(2): reap one zombie child, blocking until one
-// exists. A migrated process has left its children behind (§7), so it
-// gets ECHILD here — the documented "undefined results" caveat.
+// wait implements wait(2): reap one zombie child, the lowest pid first,
+// blocking until one exists. A migrated process has left its children
+// behind (§7), so it gets ECHILD here — the documented "undefined
+// results" caveat.
 func (p *Proc) wait() (int, int, errno.Errno) {
 	p.sysCPU(p.M.Costs.SyscallBase)
 	for {
@@ -182,7 +183,7 @@ func (p *Proc) wait() (int, int, errno.Errno) {
 			hasChild = true
 			if q.State == ProcZombie {
 				q.State = ProcDead
-				delete(p.M.procs, q.PID)
+				p.M.removeProc(q.PID)
 				status := q.ExitStatus<<8 | int(q.KilledBy)
 				return q.PID, status, 0
 			}

@@ -9,7 +9,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"procmig/internal/errno"
 	"procmig/internal/obs"
@@ -108,7 +110,7 @@ type Machine struct {
 	ns      *vfs.Namespace
 	localFS *vfs.MemFS
 
-	procs    map[int]*Proc
+	procs    []*Proc // live and unreaped processes, ordered by pid
 	nextPid  int
 	devices  map[vfs.DevID]Device
 	nextDev  vfs.DevID
@@ -197,7 +199,6 @@ func NewMachine(eng *sim.Engine, name string, isa vm.Level, cfg Config) *Machine
 		cpu:      sim.NewResource(costs.Quantum, costs.SwitchCost),
 		ns:       vfs.NewNamespace(local),
 		localFS:  local,
-		procs:    map[int]*Proc{},
 		nextPid:  1,
 		devices:  map[vfs.DevID]Device{},
 		nextDev:  DevCurrentTTY + 1,
@@ -245,19 +246,30 @@ func (m *Machine) RegisterProgram(name string, fn HostedProg) {
 
 // Procs returns a snapshot of the live process table, ordered by pid.
 func (m *Machine) Procs() []*Proc {
-	out := make([]*Proc, 0, len(m.procs))
-	for pid := 1; pid < m.nextPid; pid++ {
-		if p, ok := m.procs[pid]; ok {
-			out = append(out, p)
-		}
-	}
+	out := make([]*Proc, len(m.procs))
+	copy(out, m.procs)
 	return out
 }
 
 // FindProc looks up a live process by pid.
 func (m *Machine) FindProc(pid int) (*Proc, bool) {
-	p, ok := m.procs[pid]
-	return p, ok
+	i, ok := m.procIndex(pid)
+	if !ok {
+		return nil, false
+	}
+	return m.procs[i], true
+}
+
+// procIndex binary-searches the pid-ordered table for pid.
+func (m *Machine) procIndex(pid int) (int, bool) {
+	return slices.BinarySearchFunc(m.procs, pid, func(p *Proc, pid int) int { return cmp.Compare(p.PID, pid) })
+}
+
+// removeProc reaps pid from the process table.
+func (m *Machine) removeProc(pid int) {
+	if i, ok := m.procIndex(pid); ok {
+		m.procs = slices.Delete(m.procs, i, i+1)
+	}
 }
 
 // Load reports the CPU run-queue length.

@@ -216,7 +216,7 @@ func (m *Machine) newProc(creds Creds, cwd string, term *tty.Terminal) *Proc {
 		cwd = "/"
 	}
 	p := &Proc{M: m, PID: pid, Creds: creds, CWD: cwd, TTY: term, State: ProcRunning}
-	m.procs[pid] = p
+	m.procs = append(m.procs, p) // pids only grow, so the table stays ordered
 	return p
 }
 
@@ -274,11 +274,11 @@ func (p *Proc) finish(ex procExit) {
 			q.PPID = 0
 		}
 	}
-	parent, ok := m.procs[p.PPID]
+	parent, ok := m.FindProc(p.PPID)
 	if p.PPID == 0 || !ok || parent.State != ProcRunning {
 		// Nobody will wait for us.
 		p.State = ProcDead
-		delete(m.procs, p.PID)
+		m.removeProc(p.PID)
 	} else {
 		parent.postSignal(SIGCHLD)
 		parent.childQ.WakeAll()
@@ -316,7 +316,7 @@ func (p *Proc) NotifyMigrated(oldPID int, oldHost string) {
 	if oldHost != "" {
 		p.OldHost = oldHost
 	}
-	if parent, ok := p.M.procs[p.PPID]; ok {
+	if parent, ok := p.M.FindProc(p.PPID); ok {
 		parent.childQ.WakeAll()
 	}
 	p.ExitQ.WakeAll()
@@ -431,7 +431,7 @@ func (p *Proc) deliverSignals() bool {
 // the superuser, or a sender whose real or effective uid matches the
 // target's real or effective uid.
 func (m *Machine) Kill(sender Creds, pid int, sig Signal) errno.Errno {
-	target, ok := m.procs[pid]
+	target, ok := m.FindProc(pid)
 	if !ok || target.State != ProcRunning {
 		return errno.ESRCH
 	}

@@ -246,13 +246,13 @@ func (s *Sys) WaitRestarted(pid int) (int, errno.Errno) {
 	p := s.p
 	p.sysCPU(p.M.Costs.SyscallBase)
 	for {
-		child, ok := p.M.procs[pid]
+		child, ok := p.M.FindProc(pid)
 		if !ok || child.PPID != p.PID {
 			return 0, errno.ECHILD
 		}
 		if child.State == ProcZombie {
 			child.State = ProcDead
-			delete(p.M.procs, pid)
+			p.M.removeProc(pid)
 			return child.ExitStatus, 0
 		}
 		if child.Migrated && child.State == ProcRunning {

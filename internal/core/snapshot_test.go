@@ -333,7 +333,6 @@ func TestAssemblerRejectsOutOfRangeGeometry(t *testing.T) {
 		"page":         appendPageRec(nil, pg, page),
 		"zero page":    appendPageZeroRec(nil, pg),
 		"LZ page":      appendPageLZRec(nil, pg, AppendLZ(nil, page)),
-		"ref":          appendPageRefRec(nil, pg, zeroPageHash),
 		"store ref":    binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32([]byte{RecPageStoreRefBatch, 0, 0, 0, 1}, 0xffffffff), zeroPageHash),
 		"store batch":  batch,
 		"max page num": appendPageZeroRec(nil, 0xffffffff),

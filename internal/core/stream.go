@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -30,32 +31,33 @@ import (
 const StreamMagic = 0o446
 
 // Stream record types. Every Send on the stream carries exactly one record.
-// Types 5–7 are the wire-efficiency encodings of a page: the destination
-// assembler treats all four page-bearing kinds identically once decoded,
-// so senders may mix them freely within a session.
+// Types 5 and 7 are the wire-efficiency encodings of a page: the
+// destination assembler treats all three page-bearing kinds identically
+// once decoded, so senders may mix them freely within a session.
 const (
 	RecText     byte = 1 // u32 offset, u32 n, n text bytes
 	RecPage     byte = 2 // u32 page number, u32 n (= vm.PageSize), n bytes
 	RecMeta     byte = 3 // u32 stackLen, u32 filesLen, files, u32 sfLen, stack file (sans stack)
 	RecCommit   byte = 4 // two-phase-commit trailer, see CommitRecord
 	RecPageZero byte = 5 // u32 page number; the page is all zeros
-	RecPageRef  byte = 6 // u32 page number, u64 hash: dest already holds these bytes
 	RecPageLZ   byte = 7 // u32 page number, u32 frameLen, LZ frame (decodes to one page)
-	// Type 8 is retired (it carried one speculative ref; batches carry them
-	// all) and must not be reused: the assembler rejects it as unknown.
+	// Types 6 and 8 are retired and must not be reused: the assembler
+	// rejects them as unknown. Type 6 re-sent a page unchanged since this
+	// session shipped it (such a page is now not sent at all); type 8
+	// carried one speculative ref (batches carry them all).
 
 	// RecStoreNack is the one-byte Stream.Sync query: "which speculative
-	// refs could your store not satisfy?" The reply is u32 n, then n sorted
-	// u32 page numbers. Idempotent: satisfied pages leave the list as their
-	// bytes arrive, so polling twice is harmless.
+	// refs could your store not satisfy?" The reply is u32 n, then n
+	// strictly ascending u32 page numbers. Idempotent: satisfied pages
+	// leave the list as their bytes arrive, so polling twice is harmless.
 	RecStoreNack byte = 9
 	// RecPageStoreRefBatch carries speculative cross-session refs: u32 n,
 	// then n (u32 page number, u64 hash) pairs, each resolved against the
-	// host-wide page store rather than the session hash table. A ref is
-	// speculative — the source trusts a bloom summary, so a miss is not an
-	// error: the destination records it and reports it on the next
-	// store-NACK poll (Stream.Sync) for the source to resend. Only a
-	// poisoned store entry (re-verification mismatch) fails the transfer.
+	// destination's host-wide page store. A ref is speculative — the
+	// source trusts a bloom summary, so a miss is not an error: the
+	// destination records it and reports it on the next store-NACK poll
+	// (Stream.Sync) for the source to resend. Only a poisoned store entry
+	// (re-verification mismatch) fails the transfer.
 	// Refs travel only in batches: a mass-drain round whose pages all sit
 	// in the destination store would otherwise pay hundreds of per-record
 	// fixed costs (send/receive CPU charges and wire latency, each of which
@@ -69,9 +71,9 @@ type WireMode byte
 
 const (
 	// WireElideLZ is the default (the zero value, so every session gets it
-	// unless a caller opts out): a page whose content hash matches what the
-	// destination already holds ships as a 13-byte RecPageRef, an all-zero
-	// page as a 5-byte RecPageZero, and anything else LZ-compressed —
+	// unless a caller opts out): a page whose content hash matches the one
+	// it last shipped with this session is not sent again, an all-zero
+	// page ships as a 5-byte RecPageZero, and anything else LZ-compressed —
 	// falling back to a raw RecPage when compression does not pay.
 	WireElideLZ WireMode = iota
 	// WireElide dedups unchanged and zero pages but never compresses.
@@ -241,12 +243,6 @@ func appendPageZeroRec(b []byte, pg uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, pg)
 }
 
-func appendPageRefRec(b []byte, pg uint32, h uint64) []byte {
-	b = append(b, RecPageRef)
-	b = binary.BigEndian.AppendUint32(b, pg)
-	return binary.BigEndian.AppendUint64(b, h)
-}
-
 // specRef is one queued speculative ref awaiting the end-of-round batch
 // flush: the page number and the content hash the summary matched.
 type specRef struct {
@@ -380,22 +376,21 @@ type StreamSession struct {
 	// legacy 4-byte form or the transfer failed).
 	NewPID int
 
-	textSent  bool
-	fullSent  bool
-	sentPages map[uint32]struct{} // distinct pages shipped, for the commit record
-	// sentHashes mirrors, page by page, the content-hash table the
-	// destination assembler maintains: the hash of each page as last
-	// successfully shipped this session. A page whose current hash matches
-	// is elided to a RecPageRef. Lives and dies with the session — guardd
-	// resyncs under a new generation with a fresh session, and the buddy
-	// discards its assembler (and hash table) on the generation mismatch,
-	// so the two sides always reset together.
-	sentHashes map[uint32]uint64
-	pgScratch  []uint32  // reused dirty-page list
-	pageBuf    []byte    // reused page-contents buffer
-	lzBuf      []byte    // reused compression output buffer
-	specRound  int       // speculative refs shipped this round, pending the NACK poll
-	specQueue  []specRef // refs queued this round, flushed as batch records
+	textSent bool
+	fullSent bool
+	// shipped holds every page this session has shipped, with the content
+	// hash it last shipped with (0 under WireRaw, which hashes nothing).
+	// Its length is the commit record's PageCount. A dirty page whose hash
+	// still matches is not sent again (see sendPage). Lives and dies with
+	// the session: guardd resyncs under a new generation with a fresh
+	// session, and the buddy starts a fresh assembler on the generation
+	// mismatch.
+	shipped   map[uint32]uint64
+	pgScratch []uint32  // reused dirty-page list
+	pageBuf   []byte    // reused page-contents buffer
+	lzBuf     []byte    // reused compression output buffer
+	specRound int       // speculative refs shipped this round, pending the NACK poll
+	specQueue []specRef // refs queued this round, flushed as batch records
 	// cpuDebt accumulates per-page CPU costs (hashing, compression, store
 	// inserts) between wire sends; each send — and the end of the round —
 	// pays the whole debt in one Resource.Use. One scheduler round-trip
@@ -411,9 +406,12 @@ type StreamSession struct {
 	Err       error // transfer failure, set instead of Status
 
 	// Wire-efficiency accounting: how each shipped page was encoded, and
-	// how many bytes the encoding saved against a raw RecPage. PagesSpec
-	// counts speculative store refs; SpecNacks counts the ones the
-	// destination bounced for resend (false positives and evictions).
+	// how many bytes the encoding saved against a raw RecPage. PagesRef
+	// counts dirty pages left unsent because their contents had not
+	// changed since this session shipped them (the registry keeps the name
+	// stream.pages_ref); each saves a whole raw RecPage. PagesSpec counts
+	// speculative store refs; SpecNacks counts the ones the destination
+	// bounced for resend (false positives and evictions).
 	PagesRaw, PagesZero, PagesRef, PagesLZ int
 	PagesSpec, SpecNacks                   int
 	SavedBytes                             int64
@@ -441,7 +439,7 @@ type StreamObs struct {
 	SavedBytes *obs.Counter // bytes the wire encodings elided
 	PagesRaw   *obs.Counter
 	PagesZero  *obs.Counter
-	PagesRef   *obs.Counter
+	PagesRef   *obs.Counter // unchanged dirty pages not sent again
 	PagesLZ    *obs.Counter
 	PagesSpec  *obs.Counter // speculative cross-session store refs shipped
 	SpecNacks  *obs.Counter // speculative refs bounced for resend
@@ -501,11 +499,8 @@ func (s *StreamSession) sendRec(t *sim.Task, rec []byte) error {
 // (the caller decides which clock it bills: the daemon's task during
 // pre-copy, the dying process's system time during the final round).
 func (s *StreamSession) SendRound(t *sim.Task, cpu *vm.CPU, costs kernel.Costs, charge func(sim.Duration)) error {
-	if s.sentPages == nil {
-		s.sentPages = map[uint32]struct{}{}
-	}
-	if s.sentHashes == nil && s.Wire != WireRaw {
-		s.sentHashes = map[uint32]uint64{}
+	if s.shipped == nil {
+		s.shipped = map[uint32]uint64{}
 	}
 	send := func(rec []byte) error {
 		s.cpuDebt += costs.StreamChunkBase + sim.Duration(len(rec))*costs.StreamPerByte
@@ -667,43 +662,50 @@ func (s *StreamSession) resolveNacks(t *sim.Task, cpu *vm.CPU, costs kernel.Cost
 // netsim elision counters measure against.
 const rawPageRecLen = 9 + vm.PageSize
 
-// sendPage encodes one page under the session's wire mode and ships it.
-// The hash table is updated only after a successful send, so the source
-// never refs a page the destination might not hold: a lost record either
-// got resent (sendRec) or killed the round, and a killed round kills the
-// whole session (migration) or breaks the protection (checkpoint), both
-// of which discard the hash tables on both sides.
+// sendPage encodes one page under the session's wire mode and ships it,
+// recording it in shipped only after a successful send. A page whose hash
+// equals the one it last shipped with this session is not sent again: a
+// stream delivers each record in order or fails, a lost record is either
+// resent (sendRec) or kills the round, and a killed round ends the session
+// on both sides (the migration aborts; guardd resyncs under a new
+// generation with a fresh session and a fresh assembler). So the
+// destination's page map already holds exactly those bytes.
 //
-// refsOK gates both ref encodings. The NACK-resend path passes false so a
-// bounced speculative ref always resolves to actual bytes (zero, LZ or
-// raw) — never to another ref that could bounce again.
+// refsOK gates that elision and speculative refs. The NACK-resend path
+// passes false so a bounced speculative ref always resolves to actual
+// bytes (zero, LZ or raw), even when its hash matches shipped.
 func (s *StreamSession) sendPage(pg uint32, data []byte, costs kernel.Costs, send func([]byte) error, refsOK bool) error {
 	var h uint64
-	var known bool
 	hashed := s.Wire != WireRaw
 	if hashed {
 		s.cpuDebt += costs.PageHashCost
 		h = vm.HashPage(data)
-		var prev uint64
-		prev, known = s.sentHashes[pg]
-		known = known && prev == h
+		if prev, ok := s.shipped[pg]; refsOK && ok && prev == h {
+			s.PagesRef++
+			s.SavedBytes += rawPageRecLen
+			s.Stream.CountElided(rawPageRecLen)
+			if s.Obs != nil {
+				s.Obs.PagesRef.Inc()
+				s.Obs.SavedBytes.Add(rawPageRecLen)
+			}
+			return nil
+		}
 	}
-	if refsOK && hashed && !known && !vm.IsZeroPage(data) &&
-		s.Remote != nil && s.Remote.MayContain(h) {
+	zero := hashed && vm.IsZeroPage(data)
+	if refsOK && hashed && !zero && s.Remote != nil && s.Remote.MayContain(h) {
 		// The destination's store summary claims it holds these bytes from
 		// an earlier session. Speculative: the end-of-round NACK poll
 		// repairs false positives, so a wrong filter costs a resend, never
 		// correctness. The ref is queued, not sent — the round flushes the
 		// queue as RecPageStoreRefBatch records, so a round that elides
 		// hundreds of pages pays a couple of record costs rather than
-		// hundreds. Updating the tables before the flush ships is safe by
-		// the same argument as below: a failed flush kills the round, and
-		// a killed round kills the session and both hash tables with it.
+		// hundreds. Recording it as shipped before the flush is safe: a
+		// failed flush kills the round, and with it the session, and a
+		// bounced ref is resent before the round ends.
 		s.specQueue = append(s.specQueue, specRef{pg: pg, h: h})
 		s.specRound++
 		s.PagesSpec++
-		s.sentPages[pg] = struct{}{}
-		s.sentHashes[pg] = h
+		s.shipped[pg] = h
 		if s.Store != nil {
 			s.cpuDebt += costs.StorePageCost
 			s.Store.Insert(h, data)
@@ -718,14 +720,9 @@ func (s *StreamSession) sendPage(pg uint32, data []byte, costs kernel.Costs, sen
 	b := (*bp)[:0]
 	var kind *int
 	switch {
-	case hashed && vm.IsZeroPage(data):
-		// Checked before the hash table: a 5-byte RecPageZero beats a
-		// 13-byte RecPageRef even when the destination already holds it.
+	case zero:
 		b = appendPageZeroRec(b, pg)
 		kind = &s.PagesZero
-	case refsOK && known:
-		b = appendPageRefRec(b, pg, h)
-		kind = &s.PagesRef
 	case s.Wire == WireElideLZ:
 		s.cpuDebt += costs.LZPageCost
 		s.lzBuf = AppendLZ(s.lzBuf[:0], data)
@@ -745,17 +742,14 @@ func (s *StreamSession) sendPage(pg uint32, data []byte, costs kernel.Costs, sen
 		return err
 	}
 	*kind++
-	s.sentPages[pg] = struct{}{}
-	if hashed {
-		s.sentHashes[pg] = h
-		if s.Store != nil && kind != &s.PagesZero {
-			// Source-side insert: this host has now shipped these bytes, so
-			// a later session from here can elide them when a destination's
-			// summary says so. Zero pages stay out — RecPageZero is cheaper
-			// than any ref.
-			s.cpuDebt += costs.StorePageCost
-			s.Store.Insert(h, data)
-		}
+	s.shipped[pg] = h
+	if hashed && !zero && s.Store != nil {
+		// Source-side insert: this host has now shipped these bytes, so a
+		// later session from here can elide them when a destination's
+		// summary says so. Zero pages stay out — RecPageZero is cheaper
+		// than any ref.
+		s.cpuDebt += costs.StorePageCost
+		s.Store.Insert(h, data)
 	}
 	saved := rawPageRecLen - len(b)
 	if saved > 0 {
@@ -768,8 +762,6 @@ func (s *StreamSession) sendPage(pg uint32, data []byte, costs kernel.Costs, sen
 		switch kind {
 		case &s.PagesZero:
 			s.Obs.PagesZero.Inc()
-		case &s.PagesRef:
-			s.Obs.PagesRef.Inc()
 		case &s.PagesLZ:
 			s.Obs.PagesLZ.Inc()
 		default:
@@ -820,7 +812,7 @@ func (s *StreamSession) CloseSynthetic(t *sim.Task, cpu *vm.CPU, pid uint32, cos
 		Txn:       s.Txn,
 		PID:       pid,
 		TextLen:   uint32(len(cpu.Text)),
-		PageCount: uint32(len(s.sentPages)),
+		PageCount: uint32(len(s.shipped)),
 		StackLen:  uint32(stackLen),
 	}
 	rec := commit.Encode()
@@ -996,7 +988,7 @@ func streamDumpSend(p *kernel.Proc, sess *StreamSession) errno.Errno {
 		Txn:       sess.Txn,
 		PID:       uint32(p.PID),
 		TextLen:   uint32(len(p.VM.Text)),
-		PageCount: uint32(len(sess.sentPages)),
+		PageCount: uint32(len(sess.shipped)),
 		StackLen:  uint32(stackLen),
 	}
 	rec := commit.Encode()
@@ -1062,16 +1054,10 @@ type ImageAssembler struct {
 	// assembler the newest one shares too.
 	frozen     map[uint32][]byte
 	textFrozen bool // the newest snapshot shares text
-	// hashes holds the content hash of every page currently stored,
-	// maintained on every page-bearing record: the table a RecPageRef is
-	// checked against. It lives exactly as long as the assembler — a guardd
-	// generation bump discards the assembler and this table with it, in
-	// lockstep with the source discarding its sentHashes.
-	hashes map[uint32]uint64
 	// store, when set, is the destination host's page store: speculative
-	// refs resolve against it, and every verified page that
-	// arrives by value feeds it. Outlives the assembler — that asymmetry
-	// with hashes is the whole point of the store.
+	// refs resolve against it, and every verified page that arrives by
+	// value feeds it. Outlives the assembler, so it is the one path by
+	// which bytes shipped in one session serve another.
 	store *PageStore
 	// specMiss is the set of pages whose speculative refs the store could
 	// not satisfy, reported on the next RecStoreNack poll and cleared as
@@ -1093,17 +1079,15 @@ func NewImageAssembler(helloRaw []byte) (*ImageAssembler, error) {
 		return nil, err
 	}
 	return &ImageAssembler{
-		hello:  *h,
-		text:   make([]byte, h.TextLen),
-		pages:  map[uint32][]byte{},
-		hashes: map[uint32]uint64{},
+		hello: *h,
+		text:  make([]byte, h.TextLen),
+		pages: map[uint32][]byte{},
 	}, nil
 }
 
 // page returns pg's storage for overwriting, allocating it zeroed on first
 // touch or when the newest snapshot shares it (copy-on-write; the old
 // bytes are not copied because every caller overwrites the whole page).
-// Every Apply case that overwrites it must refresh a.hashes[pg] to match.
 func (a *ImageAssembler) page(pg uint32) []byte {
 	p := a.pages[pg]
 	if f := a.frozen[pg]; p == nil || (f != nil && &f[0] == &p[0]) {
@@ -1113,7 +1097,7 @@ func (a *ImageAssembler) page(pg uint32) []byte {
 	return p
 }
 
-// zeroPageHash is the content hash every RecPageZero page lands with.
+// zeroPageHash is the content hash of an all-zero page.
 var zeroPageHash = vm.HashPage(make([]byte, vm.PageSize))
 
 // Hello returns the geometry the stream was opened with.
@@ -1153,9 +1137,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 			return ErrTruncated
 		}
 		copy(a.page(pg), data)
-		h := vm.HashPage(data)
-		a.hashes[pg] = h
-		a.storeInsert(h, data)
+		a.storeInsert(data)
 		delete(a.specMiss, pg)
 	case RecPageZero:
 		pg := r.pg()
@@ -1165,23 +1147,6 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		p := a.page(pg)
 		for i := range p {
 			p[i] = 0
-		}
-		a.hashes[pg] = zeroPageHash
-		delete(a.specMiss, pg)
-	case RecPageRef:
-		pg := r.pg()
-		h := r.u64()
-		if r.err != nil {
-			return r.err
-		}
-		// The sender claims we already hold these exact bytes. Verify
-		// against the hash table rather than trusting it: a ref to a page
-		// never stored, or stored with different contents, must fail the
-		// transfer loudly — restarting from silently wrong memory is the
-		// one outcome worse than not migrating at all.
-		held, ok := a.hashes[pg]
-		if !ok || held != h {
-			return ErrHashMismatch
 		}
 		delete(a.specMiss, pg)
 	case RecPageStoreRefBatch:
@@ -1218,9 +1183,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		if err := DecompressLZInto(p, frame); err != nil {
 			return err
 		}
-		h := vm.HashPage(p)
-		a.hashes[pg] = h
-		a.storeInsert(h, p)
+		a.storeInsert(p)
 		delete(a.specMiss, pg)
 	case RecMeta:
 		stackLen := r.u32()
@@ -1246,28 +1209,26 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 	return nil
 }
 
-// storeInsert feeds one verified page into the host store (all-zero pages
-// excepted: RecPageZero is cheaper than any ref, so storing them buys
-// nothing). No-op without a store.
-func (a *ImageAssembler) storeInsert(h uint64, data []byte) {
-	if a.store != nil && h != zeroPageHash {
+// storeInsert feeds one page that arrived by value into the host store
+// (all-zero pages excepted: RecPageZero is cheaper than any ref, so
+// storing them buys nothing). No-op without a store.
+func (a *ImageAssembler) storeInsert(data []byte) {
+	if a.store == nil {
+		return
+	}
+	if h := vm.HashPage(data); h != zeroPageHash {
 		a.store.Insert(h, data)
 	}
 }
 
 // applyStoreRef resolves a speculative cross-session ref. Three outcomes:
-// the store (or this session's own table) holds the bytes and the page
-// lands; the store misses — recorded for the NACK poll, never an error,
-// because the source only trusted a bloom filter; or the store entry is
-// poisoned (re-verification mismatch), which fails the transfer loudly
-// like a bad RecPageRef would.
+// the store holds the bytes and the page lands; the store misses —
+// recorded for the NACK poll, never an error, because the source only
+// trusted a bloom filter; or the store entry is poisoned (re-verification
+// mismatch), which fails the transfer loudly with ErrHashMismatch —
+// restarting from silently wrong memory is the one outcome worse than not
+// migrating at all.
 func (a *ImageAssembler) applyStoreRef(pg uint32, h uint64) error {
-	if held, ok := a.hashes[pg]; ok && held == h {
-		// Already holding these exact bytes from this session (a resend
-		// raced the poll, or the store fed an earlier identical ref).
-		delete(a.specMiss, pg)
-		return nil
-	}
 	if a.store != nil {
 		data, err := a.store.Acquire(h)
 		if err != nil {
@@ -1275,7 +1236,6 @@ func (a *ImageAssembler) applyStoreRef(pg uint32, h uint64) error {
 		}
 		if data != nil {
 			copy(a.page(pg), data)
-			a.hashes[pg] = h
 			delete(a.specMiss, pg)
 			return nil
 		}
@@ -1296,11 +1256,7 @@ func (a *ImageAssembler) EncodeStoreNacks() []byte {
 	for pg := range a.specMiss {
 		pages = append(pages, pg)
 	}
-	for i := 1; i < len(pages); i++ {
-		for j := i; j > 0 && pages[j-1] > pages[j]; j-- {
-			pages[j-1], pages[j] = pages[j], pages[j-1]
-		}
-	}
+	slices.Sort(pages)
 	b := make([]byte, 0, 4+4*len(pages))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(pages)))
 	for _, pg := range pages {
@@ -1310,6 +1266,10 @@ func (a *ImageAssembler) EncodeStoreNacks() []byte {
 }
 
 // DecodeStoreNacks parses a RecStoreNack reply back into the page list.
+// The source re-reads and resends every page listed, so a page past the
+// address space is rejected like one in any other record, and so is a
+// list that is not strictly ascending (EncodeStoreNacks emits each missed
+// page once, sorted).
 func DecodeStoreNacks(raw []byte) ([]uint32, error) {
 	r := &reader{buf: raw}
 	n := int(r.u32())
@@ -1321,7 +1281,13 @@ func DecodeStoreNacks(raw []byte) ([]uint32, error) {
 	}
 	pages := make([]uint32, n)
 	for i := range pages {
-		pages[i] = r.u32()
+		pages[i] = r.pg()
+		if r.err != nil {
+			return nil, r.err
+		}
+		if i > 0 && pages[i] <= pages[i-1] {
+			return nil, ErrBadGeometry
+		}
 	}
 	return pages, nil
 }

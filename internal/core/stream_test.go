@@ -143,7 +143,7 @@ func TestStreamImageRoundTrip(t *testing.T) {
 	}
 	commit := &CommitRecord{
 		PID: 7, TextLen: uint32(len(text)),
-		PageCount: uint32(len(sess.sentPages)),
+		PageCount: uint32(len(sess.shipped)),
 		StackLen:  uint32(len(c.StackImage())),
 	}
 	if err := st.Send(nil, commit.Encode()); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"procmig/internal/kernel"
@@ -22,8 +23,8 @@ func wireTestAsm(t *testing.T) *ImageAssembler {
 	return asm
 }
 
-// TestWireRecordRoundTrip pushes each of the PR 4 record types through the
-// assembler and checks the stored page contents and hash table.
+// TestWireRecordRoundTrip pushes each page encoding through the assembler
+// and checks the stored page contents.
 func TestWireRecordRoundTrip(t *testing.T) {
 	asm := wireTestAsm(t)
 
@@ -31,28 +32,13 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	for i := range page {
 		page[i] = byte(i >> 3)
 	}
-	h := vm.HashPage(page)
 
-	// Raw page, then a ref to it: the ref must verify and change nothing.
-	if err := asm.Apply(appendPageRec(nil, 5, page)); err != nil {
-		t.Fatal(err)
-	}
-	if err := asm.Apply(appendPageRefRec(nil, 5, h)); err != nil {
-		t.Fatalf("matching ref rejected: %v", err)
-	}
-	if !bytes.Equal(asm.pages[5], page) {
-		t.Fatal("page corrupted by ref")
-	}
-
-	// LZ page: decodes to the same bytes, hash table updated.
+	// LZ page: decodes to the same bytes.
 	if err := asm.Apply(appendPageLZRec(nil, 6, AppendLZ(nil, page))); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(asm.pages[6], page) {
 		t.Fatal("LZ page decoded wrong")
-	}
-	if asm.hashes[6] != h {
-		t.Fatal("LZ page hash not recorded")
 	}
 
 	// Zero page overwriting a dirty one: must scrub it back to zeros.
@@ -65,14 +51,10 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	if !vm.IsZeroPage(asm.pages[7]) {
 		t.Fatal("zero record did not scrub the page")
 	}
-	if asm.hashes[7] != zeroPageHash {
-		t.Fatal("zero page hash not recorded")
-	}
 
-	// Truncations of every new record type must be rejected.
+	// Truncations of every efficient encoding must be rejected.
 	for _, rec := range [][]byte{
 		appendPageZeroRec(nil, 7),
-		appendPageRefRec(nil, 5, h),
 		appendPageLZRec(nil, 6, AppendLZ(nil, page)),
 	} {
 		for n := 1; n < len(rec); n += 3 {
@@ -89,39 +71,34 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPageRefMismatchRejected is the poisoned-dedup case: a RecPageRef for
-// a page the destination does not hold, or holds with different contents,
-// must fail the transfer — never silently keep the wrong bytes.
-func TestPageRefMismatchRejected(t *testing.T) {
+// TestRetiredPageRefRejected: record type 6 once re-sent a page the
+// destination already held. Such a page is now not sent at all, so the
+// type is retired and must be rejected as unknown — not ignored, which
+// would let a stale sender's page silently keep whatever bytes were there.
+func TestRetiredPageRefRejected(t *testing.T) {
 	asm := wireTestAsm(t)
 	page := make([]byte, vm.PageSize)
 	page[17] = 0xAA
-	h := vm.HashPage(page)
-
-	// Ref to a page never stored.
-	if err := asm.Apply(appendPageRefRec(nil, 3, h)); err != ErrHashMismatch {
-		t.Fatalf("ref to unknown page: err = %v, want ErrHashMismatch", err)
-	}
-	// Ref with the wrong hash for a held page.
 	if err := asm.Apply(appendPageRec(nil, 3, page)); err != nil {
 		t.Fatal(err)
 	}
-	if err := asm.Apply(appendPageRefRec(nil, 3, h^1)); err != ErrHashMismatch {
-		t.Fatalf("mismatched ref: err = %v, want ErrHashMismatch", err)
-	}
-	// The correct ref still verifies.
-	if err := asm.Apply(appendPageRefRec(nil, 3, h)); err != nil {
-		t.Fatalf("matching ref rejected: %v", err)
+	// u32 page number, u64 hash: the retired type-6 layout, hash matching.
+	rec := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32([]byte{6}, 3), vm.HashPage(page))
+	if err := asm.Apply(rec); err != ErrBadMagic {
+		t.Fatalf("type 6 record: err = %v, want ErrBadMagic", err)
 	}
 }
 
 // wireTransfer runs one synthetic two-round transfer under the given mode
 // and returns the spooled dump files. The image mixes zero pages,
-// compressible pages and a page re-dirtied without changing (the RecPageRef
-// case), so every record kind is exercised when mode allows it.
-func wireTransfer(t *testing.T, mode WireMode) (aoutRaw, filesRaw, stackRaw []byte, sess *StreamSession) {
+// compressible pages and pages re-dirtied without changing (the case that
+// ships nothing), so every encoding is exercised when mode allows it. Both
+// rounds and the metadata run under faults f on an engine seeded with
+// seed; the close, which is not retried, runs on a clean wire.
+func wireTransfer(t *testing.T, mode WireMode, seed uint64, f netsim.FaultSpec) (aoutRaw, filesRaw, stackRaw []byte, sess *StreamSession) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.Seed(seed)
 	net := netsim.New(eng, 0, 0)
 	src := net.AddHost("src")
 	net.AddHost("dst")
@@ -162,7 +139,8 @@ func wireTransfer(t *testing.T, mode WireMode) (aoutRaw, filesRaw, stackRaw []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess = &StreamSession{Stream: st, Wire: mode}
+	net.FaultPort(9, f)
+	sess = &StreamSession{Stream: st, Wire: mode, Obs: NewStreamObs(obs.NewRegistry().Scope("src"))}
 	costs := kernel.DefaultCosts()
 	charge := func(sim.Duration) {}
 	dataBase := vm.DataBase(len(text))
@@ -171,7 +149,8 @@ func wireTransfer(t *testing.T, mode WireMode) (aoutRaw, filesRaw, stackRaw []by
 		t.Fatal(err)
 	}
 	// Between rounds: one real change, one rewrite-in-place (dirty but
-	// unchanged — the dedup case), one zero page dirtied with zeros.
+	// unchanged — not sent again), one zero page dirtied with zeros (also
+	// unchanged).
 	c.WriteU32(dataBase+vm.PageSize, 0xfeedface)
 	v, _ := c.ReadU32(dataBase + 2*vm.PageSize)
 	c.WriteU32(dataBase+2*vm.PageSize, v)
@@ -179,6 +158,7 @@ func wireTransfer(t *testing.T, mode WireMode) (aoutRaw, filesRaw, stackRaw []by
 	if err := sess.SendRound(nil, c, costs, charge); err != nil {
 		t.Fatal(err)
 	}
+	net.ClearFaults()
 	status, err := sess.CloseSynthetic(nil, c, 7, costs, charge)
 	if err != nil || status != 0 {
 		t.Fatalf("close: status %d, err %v (sink err %v)", status, err, sink.err)
@@ -197,12 +177,12 @@ func wireTransfer(t *testing.T, mode WireMode) (aoutRaw, filesRaw, stackRaw []by
 // elide+LZ: the restored images must match bit for bit, and the efficient
 // modes must actually have used their encodings and shipped fewer bytes.
 func TestWireModesBitIdentical(t *testing.T) {
-	rawAout, rawFiles, rawStack, rawSess := wireTransfer(t, WireRaw)
+	rawAout, rawFiles, rawStack, rawSess := wireTransfer(t, WireRaw, 1, netsim.FaultSpec{})
 	if rawSess.PagesZero != 0 || rawSess.PagesRef != 0 || rawSess.PagesLZ != 0 {
 		t.Fatalf("raw session used efficiency encodings: %+v", rawSess.Stats())
 	}
 	for _, mode := range []WireMode{WireElide, WireElideLZ} {
-		aout, files, stack, sess := wireTransfer(t, mode)
+		aout, files, stack, sess := wireTransfer(t, mode, 1, netsim.FaultSpec{})
 		if !bytes.Equal(aout, rawAout) || !bytes.Equal(files, rawFiles) || !bytes.Equal(stack, rawStack) {
 			t.Fatalf("%v: restored image differs from raw path", mode)
 		}
@@ -211,7 +191,7 @@ func TestWireModesBitIdentical(t *testing.T) {
 				mode, sess.WireBytes, rawSess.WireBytes)
 		}
 		if sess.PagesZero == 0 || sess.PagesRef == 0 {
-			t.Fatalf("%v: zero/ref encodings not exercised: %+v", mode, sess.Stats())
+			t.Fatalf("%v: zero pages or unchanged-page elision not exercised: %+v", mode, sess.Stats())
 		}
 		if mode == WireElideLZ && sess.PagesLZ == 0 {
 			t.Fatalf("lz: no page was compressed: %+v", sess.Stats())
@@ -219,6 +199,32 @@ func TestWireModesBitIdentical(t *testing.T) {
 		if sess.SavedBytes != rawSess.WireBytes-sess.WireBytes {
 			t.Fatalf("%v: SavedBytes %d does not equal the raw gap %d",
 				mode, sess.SavedBytes, rawSess.WireBytes-sess.WireBytes)
+		}
+	}
+}
+
+// TestUnchangedPagesElidedUnderFaults: an unchanged page is not sent
+// again because the destination holds what the page last shipped as, and
+// it does because a record either lands or its send is retried (or the
+// session dies). Run the two-round transfer with records dropped and
+// duplicated: the pages left unsent must still restore bit for bit.
+func TestUnchangedPagesElidedUnderFaults(t *testing.T) {
+	rawAout, rawFiles, rawStack, _ := wireTransfer(t, WireRaw, 1, netsim.FaultSpec{})
+	lossy := netsim.FaultSpec{Drop: 0.2, Dup: 0.2}
+	for _, mode := range []WireMode{WireElide, WireElideLZ} {
+		resends := int64(0)
+		for seed := uint64(1); seed <= 4; seed++ {
+			aout, files, stack, sess := wireTransfer(t, mode, seed, lossy)
+			if sess.PagesRef == 0 {
+				t.Fatalf("%v seed %d: no unchanged page was elided: %+v", mode, seed, sess.Stats())
+			}
+			if !bytes.Equal(aout, rawAout) || !bytes.Equal(files, rawFiles) || !bytes.Equal(stack, rawStack) {
+				t.Fatalf("%v seed %d: restored image differs from the fault-free raw path", mode, seed)
+			}
+			resends += sess.Obs.Resends.Value()
+		}
+		if resends == 0 {
+			t.Fatalf("%v: no record was dropped, so the faults tested nothing", mode)
 		}
 	}
 }

@@ -242,14 +242,14 @@ func (g *Guard) checkpoint(t *sim.Task, pr *protection) bool {
 			root.Detail = "buddy " + pr.buddy + " gen " + strconv.Itoa(int(pr.gen))
 		}
 		// Wire is spelled out even though it is the zero value: delta
-		// checkpoints are the dedup layer's best case (most pages match the
-		// hashes the buddy's assembler already holds across generations of
-		// the same session), and this must not silently change if the
-		// default ever does.
+		// checkpoints are the dedup layer's best case (a dirty page left
+		// unchanged since the session last shipped it ships nothing), and
+		// this must not silently change if the default ever does.
 		pr.sess = &core.StreamSession{Txn: pr.txn, Checkpoint: true, Wire: core.WireElideLZ}
-		// The generation bump resets the per-session hash tables on both
-		// sides — but not the hosts' page stores, which is what makes a
-		// resync after a torn transfer cheap: the full image re-ships
+		// The generation bump starts a fresh session here and a fresh
+		// assembler on the buddy, so neither side trusts what a torn
+		// transfer left behind — but it keeps the hosts' page stores,
+		// which is what makes the resync cheap: the full image re-ships
 		// mostly as speculative store refs against the buddy's summary.
 		pr.sess.Store = core.MachineStore(m)
 		pr.sess.Remote = core.FetchStoreSummary(t, g.n.host, pr.buddy)

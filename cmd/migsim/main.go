@@ -450,7 +450,6 @@ func (s *session) exec(tk *sim.Task, cmd []string) error {
 		gauges := []string{
 			"kernel.trace_dropped", "kernel.frozen",
 			"migd.txn_table", "migd.txn_evicted",
-			"migd.stream_table", "migd.stream_evicted",
 			"load.dropped",
 		}
 		byHost := map[string]map[string]int64{}
@@ -465,17 +464,16 @@ func (s *session) exec(tk *sim.Task, cmd []string) error {
 			}
 		}
 		fmt.Printf("[%v] status:\n", ts(tk))
-		fmt.Printf("  %-10s %12s %8s %10s %12s %12s %14s %10s\n",
-			"host", "trace_drops", "frozen", "txn_table", "txn_evicted", "stream_tbl", "stream_evicted", "load_drops")
+		fmt.Printf("  %-10s %12s %8s %10s %12s %10s\n",
+			"host", "trace_drops", "frozen", "txn_table", "txn_evicted", "load_drops")
 		for _, hn := range s.c.Obs.Hosts() {
 			g := byHost[hn]
 			if g == nil {
 				continue
 			}
-			fmt.Printf("  %-10s %12d %8d %10d %12d %12d %14d %10d\n",
+			fmt.Printf("  %-10s %12d %8d %10d %12d %10d\n",
 				hn, g["kernel.trace_dropped"], g["kernel.frozen"],
-				g["migd.txn_table"], g["migd.txn_evicted"],
-				g["migd.stream_table"], g["migd.stream_evicted"], g["load.dropped"])
+				g["migd.txn_table"], g["migd.txn_evicted"], g["load.dropped"])
 		}
 	case "spans":
 		fmt.Printf("[%v] spans:\n", ts(tk))

@@ -258,7 +258,7 @@ func TestScriptStatusAndProm(t *testing.T) {
 	os.Stdout = old
 	out := <-captured
 	for _, want := range []string{
-		"status:", "trace_drops", "frozen", "txn_table", "stream_evicted",
+		"status:", "trace_drops", "frozen", "txn_table", "txn_evicted",
 		"# TYPE procmig_stream_wire_bytes counter",
 		"procmig_migd_txn_table{host=",
 	} {

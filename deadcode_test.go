@@ -46,6 +46,40 @@ func TestDeadCodeGuardCatchesUnusedHelper(t *testing.T) {
 	}
 }
 
+// TestNoDeadExportedFunc fails on exported package-level funcs under
+// internal/ that nothing in the tree references: an internal package can
+// only be imported from inside the module, so such a func is dead.
+func TestNoDeadExportedFunc(t *testing.T) {
+	dead, err := deadExported(".", "procmig")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dead {
+		t.Errorf("unused: %s", d)
+	}
+}
+
+// TestDeadExportedGuardCatchesUnusedFunc runs the exported-func guard over
+// the fixture's internal package: one func nothing calls and one only it
+// calls itself are flagged; a func its own package, an importer or an
+// external test calls, a method, and the Test/Benchmark/Fuzz/Example
+// funcs are not.
+func TestDeadExportedGuardCatchesUnusedFunc(t *testing.T) {
+	dead, err := deadExported(filepath.Join("testdata", "deadcode"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range dead {
+		names = append(names, d[strings.LastIndex(d, " ")+1:])
+	}
+	sort.Strings(names)
+	want := []string{"Recursive", "Unused"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("flagged %q, want %q", dead, want)
+	}
+}
+
 // deadCode reports, sorted, "file:line name" for every unexported
 // package-level declaration under root that no other declaration of its
 // package uses. It is name-based with the parser's scope resolution:
@@ -176,4 +210,121 @@ func deadInPackage(fset *token.FileSet, files []*ast.File) []string {
 		}
 	}
 	return dead
+}
+
+// deadExported reports, sorted, "file:line name" for every exported
+// package-level func in a package under root/internal (import path module
+// at root) that nothing under root references. A reference is the name
+// used unqualified in a file of the func's own directory, other than in
+// the func itself, or selected off an import of its package from any file
+// under root — nested modules included, since a module's subdirectories
+// may import its internal packages. Methods and Test, Benchmark, Fuzz and
+// Example funcs are not checked.
+func deadExported(root, module string) ([]string, error) {
+	type fn struct {
+		key string // import path + "." + name
+		pos token.Position
+	}
+	var funcs []fn
+	refs := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkg := module
+		if rel != "." {
+			pkg += "/" + filepath.ToSlash(rel)
+		}
+		imports := map[string]string{} // local name → import path
+		for _, is := range f.Imports {
+			ip := strings.Trim(is.Path.Value, `"`)
+			name := ip[strings.LastIndex(ip, "/")+1:]
+			if is.Name != nil {
+				name = is.Name.Name
+			}
+			imports[name] = ip
+		}
+		for _, decl := range f.Decls {
+			own := ""
+			var nodes []ast.Node
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				nodes = []ast.Node{fd.Type}
+				if fd.Body != nil {
+					nodes = append(nodes, fd.Body)
+				}
+				if fd.Recv == nil {
+					own = fd.Name.Name
+					if internalPkg(rel) && ast.IsExported(own) && !testingFunc(own) {
+						funcs = append(funcs, fn{pkg + "." + own, fset.Position(fd.Name.Pos())})
+					}
+				}
+			} else {
+				nodes = []ast.Node{decl}
+			}
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
+						refs[imports[x.Name]+"."+n.Sel.Name] = true
+						return false
+					}
+					ast.Inspect(n.X, visit) // n.Sel is a field or method
+					return false
+				case *ast.Ident:
+					if n.Name != own {
+						refs[pkg+"."+n.Name] = true
+					}
+				}
+				return true
+			}
+			for _, n := range nodes {
+				ast.Inspect(n, visit)
+			}
+		}
+		return nil
+	})
+	var dead []string
+	for _, f := range funcs {
+		if !refs[f.key] {
+			dead = append(dead, fmt.Sprintf("%s:%d %s", filepath.ToSlash(f.pos.Filename), f.pos.Line, f.key[strings.LastIndex(f.key, ".")+1:]))
+		}
+	}
+	sort.Strings(dead)
+	return dead, err
+}
+
+// internalPkg reports whether a directory, relative to the module root,
+// holds an internal package.
+func internalPkg(rel string) bool {
+	rel = filepath.ToSlash(rel)
+	return rel == "internal" || strings.HasPrefix(rel, "internal/")
+}
+
+// testingFunc reports whether name is one the testing package calls.
+func testingFunc(name string) bool {
+	for _, prefix := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
 }

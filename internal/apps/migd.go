@@ -50,9 +50,9 @@ const (
 
 // startStreamMigd wires the two streaming endpoints into m's migd, plus
 // the page-store summary service sources query before opening a stream.
-func startStreamMigd(m *kernel.Machine, host *netsim.Host) error {
+func startStreamMigd(m *kernel.Machine, st *migdState, host *netsim.Host) error {
 	if err := host.Listen(MigdPrecopyPort, func(t *sim.Task, raw []byte) []byte {
-		return handlePrecopy(t, m, host, raw)
+		return handlePrecopy(t, m, st, host, raw)
 	}); err != nil {
 		return err
 	}
@@ -65,14 +65,14 @@ func startStreamMigd(m *kernel.Machine, host *netsim.Host) error {
 			return nil, err
 		}
 		asm.SetStore(core.MachineStore(m))
-		return &migdSink{ImageSink: core.NewImageSink(m, asm), st: migdStateFor(m), txn: asm.Hello().Txn}, nil
+		return &migdSink{ImageSink: core.NewImageSink(m, asm), st: st, txn: asm.Hello().Txn}, nil
 	})
 }
 
 // handlePrecopy runs on the source machine, in the requesting client's
 // task: open the image stream, pre-copy while the victim keeps running,
 // then arm the streaming dump and deliver SIGDUMP.
-func handlePrecopy(t *sim.Task, m *kernel.Machine, host *netsim.Host, raw []byte) []byte {
+func handlePrecopy(t *sim.Task, m *kernel.Machine, st *migdState, host *netsim.Host, raw []byte) []byte {
 	var req precopyReq
 	if err := decode(raw, &req); err != nil {
 		return encode(&remoteResp{Status: -1, Err: "bad request"})
@@ -83,7 +83,6 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, host *netsim.Host, raw []byte
 	if t != nil {
 		t.Sleep(MigdRequestCost)
 	}
-	st := migdStateFor(m)
 	if st.committed(req.Txn) {
 		// A duplicate of a transaction that already committed: the first
 		// answer was lost, the migration was not.

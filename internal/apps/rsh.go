@@ -139,6 +139,7 @@ func NewRsh(host *netsim.Host) kernel.HostedProg {
 // simply send messages to the daemon, who will start the processes on
 // their behalf" — a well-known port, no per-invocation connection setup.
 func StartMigd(m *kernel.Machine, host *netsim.Host) error {
+	st := newMigdState(m.Obs)
 	if err := host.Listen(MigdPort, func(t *sim.Task, raw []byte) []byte {
 		var req remoteReq
 		if err := decode(raw, &req); err != nil {
@@ -151,19 +152,19 @@ func StartMigd(m *kernel.Machine, host *netsim.Host) error {
 		// format with plain remote execution.
 		switch req.Cmd {
 		case cmdTxMigrate:
-			return encode(handleTxnMigrate(t, m, host, &req))
+			return encode(handleTxnMigrate(t, m, st, host, &req))
 		case cmdTxRestart:
-			return encode(handleTxnRestart(t, m, &req))
+			return encode(handleTxnRestart(t, m, st, &req))
 		case cmdTxQuery:
-			return encode(handleTxnQuery(m, &req))
+			return encode(handleTxnQuery(st, &req))
 		case cmdTxAbort:
-			return encode(handleTxnAbort(m, &req))
+			return encode(handleTxnAbort(st, &req))
 		}
 		return encode(runRemoteCommand(t, m, &req))
 	}); err != nil {
 		return err
 	}
-	return startStreamMigd(m, host)
+	return startStreamMigd(m, st, host)
 }
 
 // NewFastMigrate builds the improved migrate that talks to migd instead

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"strconv"
-	"sync"
 
 	"procmig/internal/core"
 	"procmig/internal/errno"
@@ -102,92 +101,56 @@ func retryCounters(host *netsim.Host) (retries, backoffUS *obs.Counter) {
 	return sc.Counter("migd.call_retries"), sc.Counter("migd.backoff_wait_us")
 }
 
-// Bounds on migd's retained per-transaction state. A long-lived cluster
-// settles an unbounded number of transactions; the table keeps only the
-// newest verdicts (enough to suppress any plausible duplicate — retries
-// stop within seconds, evictions take far longer) and the newest transfer
-// records verbatim. Everything older lives on as obs registry totals.
-const (
-	migdDoneCap       = 1024 // settled txn verdicts kept for duplicate suppression
-	migdStreamHistory = 8    // recent per-transfer stream stats kept verbatim
-)
+// migdDoneCap bounds migd's retained per-transaction state. A long-lived
+// cluster settles an unbounded number of transactions; the table keeps
+// only the newest verdicts (enough to suppress any plausible duplicate —
+// retries stop within seconds, evictions take far longer). Everything
+// older lives on as obs registry totals.
+const migdDoneCap = 1024
 
 // migdState is one machine's migd transaction table: the latest settled
-// status per transaction id. Only a recorded success is final — a failed
-// attempt may legitimately be retried under the same id, so lookups that
+// status per transaction id. StartMigd builds it once and hands it to the
+// machine's handlers. Only a recorded success is final — a failed attempt
+// may legitimately be retried under the same id, so lookups that
 // short-circuit duplicates check committed(), while txquery reports
 // whatever was last recorded.
 type migdState struct {
-	mu    sync.Mutex
 	done  map[uint32]int
 	order []uint32 // keys of done, oldest verdict first (eviction order)
-	// lastStream is the transfer accounting of the newest streaming
-	// migration this migd drove as a source (settled either way), kept for
-	// experiments and operators; haveStream distinguishes "no streaming
-	// migration yet" from an all-zero record. streams is the bounded
-	// history behind it.
-	lastStream core.StreamStats
-	haveStream bool
-	streams    []core.StreamStats
-	obs        migdObs
+	obs   migdObs
 }
 
 // migdObs is the migd slice of the machine's metrics scope, resolved once
 // per machine so recording a verdict is counter arithmetic.
 type migdObs struct {
-	txnCommits, txnAborts, txnEvicted     *obs.Counter
-	streams, streamEvicted                *obs.Counter
-	streamRounds, streamWire, streamSaved *obs.Counter
-	// Occupancy gauges for the two bounded tables, so an operator can see
-	// how close each host sits to its eviction horizon (the eviction
-	// *counters* above only show losses after the fact).
-	txnTable, streamTable *obs.Gauge
+	txnCommits, txnAborts, txnEvicted              *obs.Counter
+	streams, streamRounds, streamWire, streamSaved *obs.Counter
+	// Occupancy of the bounded verdict table, so an operator can see how
+	// close each host sits to its eviction horizon (the eviction counter
+	// above only shows losses after the fact).
+	txnTable *obs.Gauge
 }
 
-func newMigdObs(s *obs.Scope) migdObs {
-	return migdObs{
-		txnCommits:    s.Counter("migd.txn_commits"),
-		txnAborts:     s.Counter("migd.txn_aborts"),
-		txnEvicted:    s.Counter("migd.txn_evicted"),
-		streams:       s.Counter("migd.streams"),
-		streamEvicted: s.Counter("migd.stream_evicted"),
-		streamRounds:  s.Counter("migd.stream_rounds"),
-		streamWire:    s.Counter("migd.stream_wire_bytes"),
-		streamSaved:   s.Counter("migd.stream_saved_bytes"),
-		txnTable:      s.Gauge("migd.txn_table"),
-		streamTable:   s.Gauge("migd.stream_table"),
-	}
+func newMigdState(s *obs.Scope) *migdState {
+	return &migdState{done: map[uint32]int{}, obs: migdObs{
+		txnCommits:   s.Counter("migd.txn_commits"),
+		txnAborts:    s.Counter("migd.txn_aborts"),
+		txnEvicted:   s.Counter("migd.txn_evicted"),
+		streams:      s.Counter("migd.streams"),
+		streamRounds: s.Counter("migd.stream_rounds"),
+		streamWire:   s.Counter("migd.stream_wire_bytes"),
+		streamSaved:  s.Counter("migd.stream_saved_bytes"),
+		txnTable:     s.Gauge("migd.txn_table"),
+	}}
 }
 
-var (
-	migdMu     sync.Mutex
-	migdStates = map[*kernel.Machine]*migdState{}
-)
-
-func migdStateFor(m *kernel.Machine) *migdState {
-	migdMu.Lock()
-	defer migdMu.Unlock()
-	st := migdStates[m]
-	if st == nil {
-		st = &migdState{done: map[uint32]int{}, obs: newMigdObs(m.Obs)}
-		migdStates[m] = st
-	}
-	return st
-}
-
+// record notes txn's verdict and evicts the oldest entries past
+// migdDoneCap, folding the eviction into the registry so the loss is
+// visible.
 func (s *migdState) record(txn uint32, status int) {
 	if txn == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.put(txn, status)
-}
-
-// put records a verdict and evicts the oldest entries past migdDoneCap,
-// folding the eviction into the registry so the loss is visible. Callers
-// hold s.mu.
-func (s *migdState) put(txn uint32, status int) {
 	if _, seen := s.done[txn]; !seen {
 		s.order = append(s.order, txn)
 	}
@@ -206,59 +169,23 @@ func (s *migdState) put(txn uint32, status int) {
 	s.obs.txnTable.Set(int64(len(s.done)))
 }
 
+// recordStream folds one streaming transfer's accounting into the totals.
 func (s *migdState) recordStream(stats core.StreamStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastStream = stats
-	s.haveStream = true
 	s.obs.streams.Inc()
 	s.obs.streamRounds.Add(int64(stats.Rounds))
 	s.obs.streamWire.Add(stats.WireBytes)
 	s.obs.streamSaved.Add(stats.SavedBytes)
-	s.streams = append(s.streams, stats)
-	if len(s.streams) > migdStreamHistory {
-		copy(s.streams, s.streams[1:])
-		s.streams = s.streams[:migdStreamHistory]
-		s.obs.streamEvicted.Inc()
-	}
-	s.obs.streamTable.Set(int64(len(s.streams)))
-}
-
-// LastStreamStats reports the transfer accounting of the newest streaming
-// migration m's migd drove as a source, and whether there has been one.
-func LastStreamStats(m *kernel.Machine) (core.StreamStats, bool) {
-	st := migdStateFor(m)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.lastStream, st.haveStream
-}
-
-// RecentStreamStats returns the newest retained per-transfer records
-// (oldest first, at most migdStreamHistory). Transfers evicted from this
-// window survive only as the migd.stream_* registry totals.
-func RecentStreamStats(m *kernel.Machine) []core.StreamStats {
-	st := migdStateFor(m)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]core.StreamStats(nil), st.streams...)
 }
 
 // abortIfAbsent seals txn as aborted unless an outcome is already on
 // record (an explicit abort must never overwrite a real verdict).
 func (s *migdState) abortIfAbsent(txn uint32) {
-	if txn == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.done[txn]; !ok {
-		s.put(txn, -1)
+		s.record(txn, -1)
 	}
 }
 
 func (s *migdState) lookup(txn uint32) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	status, ok := s.done[txn]
 	return status, ok
 }
@@ -291,13 +218,12 @@ func parseTxnArgs(args []string) (txn uint32, pid int, ok bool) {
 // on disk (a DumpHold parks it instead of letting SIGDUMP kill it) and
 // runs dumpproc's §4.4 pathname fixups; phase two drives the restart on
 // the destination with retries and resolves commit-or-abort.
-func handleTxnMigrate(t *sim.Task, m *kernel.Machine, host *netsim.Host, req *remoteReq) *remoteResp {
+func handleTxnMigrate(t *sim.Task, m *kernel.Machine, st *migdState, host *netsim.Host, req *remoteReq) *remoteResp {
 	txn, pid, ok := parseTxnArgs(req.Args)
 	if !ok || len(req.Args) != 3 {
 		return &remoteResp{Status: -1, Err: "bad txmigrate request"}
 	}
 	dest := req.Args[2]
-	st := migdStateFor(m)
 	if st.committed(txn) {
 		// A duplicate of a transaction that already committed: the first
 		// answer was lost, the work was not.
@@ -318,10 +244,15 @@ func handleTxnMigrate(t *sim.Task, m *kernel.Machine, host *netsim.Host, req *re
 		}
 		return 0
 	}
-	hold := core.ArmDumpHold(m, pid)
+	hold, e := core.ArmDumpHold(p)
+	if e != 0 {
+		// A streaming migration or checkpoint owns the next SIGDUMP; the
+		// client retries the transaction.
+		return &remoteResp{Status: -1, Err: e.Error()}
+	}
 	dsp := m.Trace.Child(txn, "dump", m.Name, pid, at())
 	abort := func(msg string) *remoteResp {
-		core.ResolveDumpHold(m, hold, false)
+		core.ResolveDumpHold(hold, false)
 		dsp.EndDetail(at(), msg)
 		return &remoteResp{Status: -1, Err: msg}
 	}
@@ -335,7 +266,7 @@ func handleTxnMigrate(t *sim.Task, m *kernel.Machine, host *netsim.Host, req *re
 	if dres.Status != 0 {
 		return abort("dumpproc failed: " + dres.Err)
 	}
-	if !hold.AwaitFrozen(t, p) {
+	if !hold.AwaitFrozen(t) {
 		if e := hold.DumpFailed(); e != 0 {
 			return abort("dump: " + e.Error())
 		}
@@ -366,12 +297,12 @@ func handleTxnMigrate(t *sim.Task, m *kernel.Machine, host *netsim.Host, req *re
 	}
 	if status == 0 {
 		rsp.EndDetail(at(), "pid "+strconv.Itoa(newPID)+" on "+dest)
-		core.ResolveDumpHold(m, hold, true) // reap the original, GC the dump files
+		core.ResolveDumpHold(hold, true) // reap the original, GC the dump files
 		st.record(txn, 0)
 		return &remoteResp{Status: 0, PID: newPID}
 	}
 	rsp.EndDetail(at(), "status "+strconv.Itoa(status))
-	core.ResolveDumpHold(m, hold, false) // resume the victim, GC the dump files
+	core.ResolveDumpHold(hold, false) // resume the victim, GC the dump files
 	// Seal the abort on the destination, best effort, so a later query
 	// gets a definite answer.
 	host.Call(t, dest, MigdPort, encode(&remoteReq{Cmd: cmdTxAbort, Args: []string{req.Args[0], req.Args[1]}}))
@@ -381,13 +312,12 @@ func handleTxnMigrate(t *sim.Task, m *kernel.Machine, host *netsim.Host, req *re
 // handleTxnRestart runs on the destination machine's migd: restart pid
 // from the dump files retained on the (frozen) source, recording the
 // outcome under txn so the source can resolve a lost answer.
-func handleTxnRestart(t *sim.Task, m *kernel.Machine, req *remoteReq) *remoteResp {
+func handleTxnRestart(t *sim.Task, m *kernel.Machine, st *migdState, req *remoteReq) *remoteResp {
 	txn, pid, ok := parseTxnArgs(req.Args)
 	if !ok || len(req.Args) != 3 {
 		return &remoteResp{Status: -1, Err: "bad txrestart request"}
 	}
 	from := req.Args[2]
-	st := migdStateFor(m)
 	if st.committed(txn) {
 		return &remoteResp{Status: 0}
 	}
@@ -412,24 +342,24 @@ func handleTxnRestart(t *sim.Task, m *kernel.Machine, req *remoteReq) *remoteRes
 }
 
 // handleTxnQuery reports what this machine's migd recorded for txn.
-func handleTxnQuery(m *kernel.Machine, req *remoteReq) *remoteResp {
+func handleTxnQuery(st *migdState, req *remoteReq) *remoteResp {
 	txn, _, ok := parseTxnArgs(req.Args)
 	if !ok {
 		return &remoteResp{Status: -1, Err: "bad txquery request"}
 	}
-	if status, found := migdStateFor(m).lookup(txn); found {
+	if status, found := st.lookup(txn); found {
 		return &remoteResp{Status: status, Output: txnSettled}
 	}
 	return &remoteResp{Status: -1, Output: txnUnknown}
 }
 
 // handleTxnAbort seals txn as aborted (unless it already settled).
-func handleTxnAbort(m *kernel.Machine, req *remoteReq) *remoteResp {
+func handleTxnAbort(st *migdState, req *remoteReq) *remoteResp {
 	txn, _, ok := parseTxnArgs(req.Args)
 	if !ok {
 		return &remoteResp{Status: -1, Err: "bad txabort request"}
 	}
-	migdStateFor(m).abortIfAbsent(txn)
+	st.abortIfAbsent(txn)
 	return &remoteResp{Status: 0}
 }
 

@@ -220,14 +220,15 @@ func New(opts Options) (*Cluster, error) {
 		// A host crash (scripted or explicit) takes the machine's running
 		// processes with it — the fault-injection experiments depend on a
 		// crashed destination really losing its half-restored copy. The
-		// page store is RAM too: it dies with the host, so a revived host
-		// re-advertises an empty summary rather than a stale one.
+		// page store is RAM too: its pages die with the host, so a revived
+		// host re-advertises an empty summary rather than a stale one; its
+		// configured budget survives, as a reboot keeps its configuration.
 		machine := m
 		nh.SetCrashHook(func() {
 			for _, pi := range machine.PS() {
 				machine.Kill(kernel.Creds{}, pi.PID, kernel.SIGKILL)
 			}
-			core.DropMachineStore(machine)
+			core.CrashMachineStore(machine)
 		})
 		for pname, fn := range progs {
 			m.RegisterProgram(pname, fn)

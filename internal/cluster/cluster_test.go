@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"procmig/internal/cluster"
+	"procmig/internal/core"
 	"procmig/internal/errno"
 	"procmig/internal/kernel"
 	"procmig/internal/sim"
@@ -291,5 +292,31 @@ func TestNewTerminalDevice(t *testing.T) {
 	}
 	if string(got) != "via device node\n" {
 		t.Fatalf("got = %q", got)
+	}
+}
+
+// TestCrashKeepsStoreBudget: a crash empties a host's page store but keeps
+// the budget the host was configured with, so a disabled store stays
+// disabled and a sized one keeps its size.
+func TestCrashKeepsStoreBudget(t *testing.T) {
+	c := boot(t, "alpha")
+	m := c.Machine("alpha")
+	c.ConfigurePageStores(0)
+	c.NetHost("alpha").Crash()
+	if ps := core.MachineStore(m); ps != nil {
+		t.Fatalf("a disabled store came back after a crash with budget %d", ps.Budget())
+	}
+	c.NetHost("alpha").Revive()
+
+	const budget = 64 << 10
+	c.ConfigurePageStores(budget)
+	core.MachineStore(m).Insert(1, make([]byte, vm.PageSize))
+	c.NetHost("alpha").Crash()
+	ps := core.MachineStore(m)
+	if ps == nil {
+		t.Fatal("a crash disabled the store")
+	}
+	if ps.Budget() != budget || ps.Len() != 0 {
+		t.Fatalf("store after a crash: budget %d with %d pages, want budget %d and empty", ps.Budget(), ps.Len(), budget)
 	}
 }

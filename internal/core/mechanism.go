@@ -25,26 +25,14 @@ func Install(m *kernel.Machine) {
 // The a.out file is written last so that a user program polling for it
 // (dumpproc) finds all three files once it appears.
 func Dump(p *kernel.Proc) errno.Errno {
-	if sess := takeStreamSession(p.M, p.PID); sess != nil {
-		// A streaming migration armed this dump: ship the final delta
-		// over the open stream instead of writing the dump files.
-		return streamDumpFinal(p, sess)
-	}
 	m := p.M
-	hold := holdFor(m, p.PID)
 	if p.VM == nil {
 		// Hosted utility programs have no dumpable machine image.
-		if hold != nil {
-			return hold.fail(errno.ENOEXEC)
-		}
 		return errno.ENOEXEC
 	}
 	if !m.Config.TrackNames {
 		// The unmodified kernel does not know pathnames; dumping is the
 		// whole reason for the §5.1 modifications.
-		if hold != nil {
-			return hold.fail(errno.EINVAL)
-		}
 		return errno.EINVAL
 	}
 	aoutPath, filesPath, stackPath := DumpPaths("", p.PID)
@@ -80,18 +68,8 @@ func Dump(p *kernel.Proc) errno.Errno {
 		p.ChargeSys(costs.DumpBase + sim.Duration(len(out.data))*costs.DumpPerByte)
 		p.SleepIO(costs.DumpDisk)
 		if e := p.WriteFileCharged(out.path, out.data, 0o700); e != 0 {
-			if hold != nil {
-				// Transactional dump: a failed dump aborts the
-				// migration but must not kill the process.
-				return hold.fail(e)
-			}
 			return e
 		}
-	}
-	if hold != nil {
-		// Transactional dump: stay frozen-but-alive until the coordinator
-		// learns whether the destination restarted the copy.
-		return hold.park(p)
 	}
 	return 0
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"procmig/internal/errno"
 	"procmig/internal/kernel"
@@ -43,7 +42,7 @@ type storeEntry struct {
 
 // PageStore is one machine's bounded content-addressed page cache.
 // Engine tasks run one at a time, so like the assembler it needs no
-// internal locking; the registry map guarding cross-machine lookup does.
+// locking.
 type PageStore struct {
 	budget  int64
 	bytes   int64
@@ -355,54 +354,43 @@ func DecodeStoreSummary(raw []byte) (*StoreSummary, error) {
 	return s, nil
 }
 
-// --- per-machine registry ---------------------------------------------------
+// --- the machine's store ----------------------------------------------------
 
-// Machine stores, keyed like the armed-session map: global so the kernel
-// package needs no knowledge of the store; the mutex covers concurrent
-// test engines. A nil value recorded under a machine means "explicitly
-// disabled" (ConfigureMachineStore with budget <= 0), which experiments
-// use to pin the session-dedup baseline.
-var (
-	storeRegMu    sync.Mutex
-	machineStores = map[*kernel.Machine]*PageStore{}
-)
+// machineStore is the page store core keeps on a machine (kernel.Machine's
+// Ext field), so it lives and dies with the machine. A nil store means
+// "explicitly disabled" (ConfigureMachineStore with budget <= 0), which
+// experiments use to pin the session-dedup baseline.
+type machineStore struct{ store *PageStore }
 
 // MachineStore returns m's page store, creating one with DefaultStoreBudget
 // (and obs counters under m's scope) on first use. Returns nil when the
 // store was explicitly disabled for m.
 func MachineStore(m *kernel.Machine) *PageStore {
-	storeRegMu.Lock()
-	defer storeRegMu.Unlock()
-	ps, ok := machineStores[m]
-	if ok {
-		return ps
+	if ms, ok := m.Ext.(*machineStore); ok {
+		return ms.store
 	}
-	ps = NewPageStore(DefaultStoreBudget)
-	ps.SetObs(NewPageStoreObs(m.Obs))
-	machineStores[m] = ps
-	return ps
+	ConfigureMachineStore(m, DefaultStoreBudget)
+	return m.Ext.(*machineStore).store
 }
 
 // ConfigureMachineStore replaces m's store with one of the given budget;
 // budget <= 0 disables the store for m entirely (MachineStore returns nil).
 func ConfigureMachineStore(m *kernel.Machine, budget int64) {
-	storeRegMu.Lock()
-	defer storeRegMu.Unlock()
-	if budget <= 0 {
-		machineStores[m] = nil
-		return
+	ms := &machineStore{}
+	if budget > 0 {
+		ms.store = NewPageStore(budget)
+		ms.store.SetObs(NewPageStoreObs(m.Obs))
 	}
-	ps := NewPageStore(budget)
-	ps.SetObs(NewPageStoreObs(m.Obs))
-	machineStores[m] = ps
+	m.Ext = ms
 }
 
-// DropMachineStore forgets m's store (a crash loses the machine's memory,
-// the cache with it); the next MachineStore call starts fresh.
-func DropMachineStore(m *kernel.Machine) {
-	storeRegMu.Lock()
-	defer storeRegMu.Unlock()
-	delete(machineStores, m)
+// CrashMachineStore empties m's store (a crash loses the machine's memory,
+// the cache with it) but keeps the budget it was configured with, so a
+// disabled store stays disabled.
+func CrashMachineStore(m *kernel.Machine) {
+	if ms, ok := m.Ext.(*machineStore); ok && ms.store != nil {
+		ms.store.Reset()
+	}
 }
 
 // --- summary service (the handshake extension) ------------------------------

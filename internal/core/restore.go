@@ -33,15 +33,20 @@ func HelloFor(p *kernel.Proc, txn uint32) *StreamHello {
 	}
 }
 
-// DumpToStream arms p's streaming dump into sess and sends SIGDUMP as
-// creds, disarming again if the signal is refused (that errno is
-// returned). The dump hook settles the session as the final delta ships,
-// so it then waits on the session, not on p's exit; settled is false when
-// p stopped running before the transfer settled.
+// DumpToStream arms p's next SIGDUMP to ship the final delta into sess
+// (streamDumpFinal) and sends SIGDUMP as creds, disarming again if the
+// signal is refused (that errno is returned). A slot another caller has
+// armed is left alone and EBUSY returned. The armed dump settles the
+// session as the final delta ships, so it then waits on the session, not
+// on p's exit; settled is false when p stopped running before the
+// transfer settled.
 func DumpToStream(t *sim.Task, p *kernel.Proc, creds kernel.Creds, sess *StreamSession) (settled bool, e errno.Errno) {
-	ArmStreamDump(p.M, p.PID, sess)
+	if p.ArmedDump != nil {
+		return false, errno.EBUSY
+	}
+	p.ArmedDump = func(p *kernel.Proc) errno.Errno { return streamDumpFinal(p, sess) }
 	if e := p.M.Kill(creds, p.PID, kernel.SIGDUMP); e != 0 {
-		DisarmStreamDump(p.M, p.PID)
+		p.ArmedDump = nil
 		return false, e
 	}
 	for !sess.Settled && p.State == kernel.ProcRunning {

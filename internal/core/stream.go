@@ -829,44 +829,6 @@ func (s *StreamSession) CloseSynthetic(t *sim.Task, cpu *vm.CPU, pid uint32, cos
 	return s.Status, nil
 }
 
-// Armed streaming sessions, keyed by machine and pid: when the SIGDUMP
-// dump action finds one, it streams the final delta instead of writing the
-// dump files. Global (not per-machine) so the kernel package needs no
-// knowledge of streaming; the mutex covers concurrent test engines.
-var (
-	streamMu sync.Mutex
-	armed    = map[*kernel.Machine]map[int]*StreamSession{}
-)
-
-// ArmStreamDump registers sess so that the next SIGDUMP dump of pid on m
-// completes the streaming migration.
-func ArmStreamDump(m *kernel.Machine, pid int, sess *StreamSession) {
-	streamMu.Lock()
-	defer streamMu.Unlock()
-	if armed[m] == nil {
-		armed[m] = map[int]*StreamSession{}
-	}
-	armed[m][pid] = sess
-}
-
-// DisarmStreamDump removes a previously armed session (e.g. after a
-// pre-copy failure, so a later plain dumpproc behaves normally).
-func DisarmStreamDump(m *kernel.Machine, pid int) {
-	streamMu.Lock()
-	defer streamMu.Unlock()
-	delete(armed[m], pid)
-}
-
-func takeStreamSession(m *kernel.Machine, pid int) *StreamSession {
-	streamMu.Lock()
-	defer streamMu.Unlock()
-	sess := armed[m][pid]
-	if sess != nil {
-		delete(armed[m], pid)
-	}
-	return sess
-}
-
 // streamDumpFinal is the streaming counterpart of Dump: with the process
 // frozen in the signal path, ship the last dirty-page delta, the
 // files/stack metadata and the commit record, then close the stream and

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"procmig/internal/errno"
 	"procmig/internal/kernel"
 	"procmig/internal/sim"
@@ -25,7 +23,8 @@ const (
 
 // DumpHold is one armed classic-path transaction.
 type DumpHold struct {
-	pid     int
+	p       *kernel.Proc
+	fired   bool        // the armed dump ran (the arm is spent)
 	frozen  bool        // dump files written, victim parked
 	dumpErr errno.Errno // the dump itself failed; victim resumed
 	verdict int
@@ -34,36 +33,26 @@ type DumpHold struct {
 	doneQ sim.Queue // the coordinator awaiting the freeze
 }
 
-var (
-	holdMu sync.Mutex
-	holds  = map[*kernel.Machine]map[int]*DumpHold{}
-)
-
-// ArmDumpHold registers a hold so the next SIGDUMP dump of pid on m
-// freezes the process instead of killing it.
-func ArmDumpHold(m *kernel.Machine, pid int) *DumpHold {
-	holdMu.Lock()
-	defer holdMu.Unlock()
-	if holds[m] == nil {
-		holds[m] = map[int]*DumpHold{}
+// ArmDumpHold arms p's next SIGDUMP to freeze the process after its dump
+// instead of killing it. A slot another caller has armed is left alone
+// and EBUSY returned.
+func ArmDumpHold(p *kernel.Proc) (*DumpHold, errno.Errno) {
+	if p.ArmedDump != nil {
+		return nil, errno.EBUSY
 	}
-	h := &DumpHold{pid: pid}
-	holds[m][pid] = h
-	return h
+	h := &DumpHold{p: p}
+	p.ArmedDump = h.dump
+	return h, 0
 }
 
-// DisarmDumpHold removes the hold if it is still registered (resolved or
-// not), so a later plain dumpproc behaves classically.
-func DisarmDumpHold(m *kernel.Machine, pid int) {
-	holdMu.Lock()
-	defer holdMu.Unlock()
-	delete(holds[m], pid)
-}
-
-func holdFor(m *kernel.Machine, pid int) *DumpHold {
-	holdMu.Lock()
-	defer holdMu.Unlock()
-	return holds[m][pid]
+// dump is the armed SIGDUMP action: the plain dump, then park on success
+// or resume on failure (a failed migration must not kill the process).
+func (h *DumpHold) dump(p *kernel.Proc) errno.Errno {
+	h.fired = true
+	if e := Dump(p); e != 0 {
+		return h.fail(e)
+	}
+	return h.park(p)
 }
 
 // Frozen reports whether the victim has written its dump files and parked.
@@ -101,9 +90,9 @@ func (h *DumpHold) fail(e errno.Errno) errno.Errno {
 
 // AwaitFrozen blocks the coordinator until the victim is parked (true) or
 // the dump failed / the process died some other way (false).
-func (h *DumpHold) AwaitFrozen(t *sim.Task, p *kernel.Proc) bool {
+func (h *DumpHold) AwaitFrozen(t *sim.Task) bool {
 	for !h.frozen && h.dumpErr == 0 {
-		if p.State != kernel.ProcRunning {
+		if h.p.State != kernel.ProcRunning {
 			return false
 		}
 		t.WaitTimeout(&h.doneQ, 250*sim.Millisecond)
@@ -111,11 +100,13 @@ func (h *DumpHold) AwaitFrozen(t *sim.Task, p *kernel.Proc) bool {
 	return h.frozen
 }
 
-// ResolveDumpHold delivers the verdict, wakes the victim, and
-// garbage-collects the dump files (committed images have been read by the
-// destination; aborted ones must not linger for a manual retry — the
+// ResolveDumpHold delivers the verdict, wakes the victim, disarms a hold
+// whose dump never ran (so a later plain dumpproc behaves classically; no
+// other caller can have armed the slot over it),
+// and garbage-collects the dump files (committed images have been read by
+// the destination; aborted ones must not linger for a manual retry — the
 // transaction owns them now). It is idempotent.
-func ResolveDumpHold(m *kernel.Machine, h *DumpHold, commit bool) {
+func ResolveDumpHold(h *DumpHold, commit bool) {
 	if h.verdict == holdNone {
 		if commit {
 			h.verdict = holdCommit
@@ -124,11 +115,13 @@ func ResolveDumpHold(m *kernel.Machine, h *DumpHold, commit bool) {
 		}
 		h.waitQ.WakeAll()
 	}
-	DisarmDumpHold(m, h.pid)
+	if !h.fired {
+		h.p.ArmedDump = nil
+	}
 	if h.frozen {
-		aoutP, filesP, stackP := DumpPaths("", h.pid)
+		aoutP, filesP, stackP := DumpPaths("", h.p.PID)
 		for _, path := range []string{aoutP, filesP, stackP} {
-			m.NS().Remove(path)
+			h.p.M.NS().Remove(path)
 		}
 	}
 }

@@ -29,6 +29,7 @@ const (
 	ENOMEM       Errno = 12
 	EACCES       Errno = 13
 	EFAULT       Errno = 14
+	EBUSY        Errno = 16
 	EEXIST       Errno = 17
 	EXDEV        Errno = 18
 	ENODEV       Errno = 19
@@ -70,6 +71,7 @@ var names = map[Errno]string{
 	ENOMEM:       "not enough memory",
 	EACCES:       "permission denied",
 	EFAULT:       "bad address",
+	EBUSY:        "device busy",
 	EEXIST:       "file exists",
 	EXDEV:        "cross-device link",
 	ENODEV:       "no such device",

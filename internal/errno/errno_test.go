@@ -29,7 +29,7 @@ func TestOf(t *testing.T) {
 func TestAllNamedErrnosHaveStrings(t *testing.T) {
 	for _, e := range []Errno{
 		EPERM, ENOENT, ESRCH, EINTR, EIO, ENXIO, E2BIG, ENOEXEC, EBADF,
-		ECHILD, ENOMEM, EACCES, EFAULT, EEXIST, EXDEV, ENODEV, ENOTDIR,
+		ECHILD, ENOMEM, EACCES, EFAULT, EBUSY, EEXIST, EXDEV, ENODEV, ENOTDIR,
 		EISDIR, EINVAL, ENFILE, EMFILE, ENOTTY, EFBIG, ENOSPC, ESPIPE,
 		EROFS, EMLINK, EPIPE, EAGAIN, ENOTSOCK, ETIMEDOUT, ECONNREFUSED,
 		ELOOP, ENAMETOOLONG, EHOSTDOWN, ENOTEMPTY, ESTALE,

@@ -430,6 +430,47 @@ func TestSignalKillsSleepingProcess(t *testing.T) {
 	}
 }
 
+// TestArmedDumpRunsOnceInPlaceOfHook: SIGDUMP runs the process's armed
+// dump action instead of Hooks.Dump, once, and exit clears an arm that
+// never ran.
+func TestArmedDumpRunsOnceInPlaceOfHook(t *testing.T) {
+	w := newWorld(t, Config{TrackNames: true})
+	var ran []string
+	resume := func(name string) func(*Proc) errno.Errno {
+		return func(*Proc) errno.Errno {
+			ran = append(ran, name)
+			return errno.ERESTART // abort the dump: the process keeps running
+		}
+	}
+	w.m.Hooks.Dump = resume("hook")
+	w.installHosted(t, "/bin/sleepy", "sleepy", func(sys *Sys, args []string) int {
+		for i := 0; i < 10; i++ {
+			sys.Sleep(10 * sim.Second)
+		}
+		return 0
+	})
+	p := w.spawn(t, "/bin/sleepy")
+	w.eng.Go("driver", func(tk *sim.Task) {
+		tk.Sleep(sim.Second)
+		p.ArmedDump = resume("armed")
+		w.m.Kill(user, p.PID, SIGDUMP)
+		tk.Sleep(5 * sim.Second)
+		w.m.Kill(user, p.PID, SIGDUMP)
+		tk.Sleep(5 * sim.Second)
+		p.ArmedDump = resume("never")
+	})
+	w.run(t)
+	if got := strings.Join(ran, ","); got != "armed,hook" {
+		t.Fatalf("dump actions ran %q, want \"armed,hook\"", got)
+	}
+	if p.State == ProcRunning || p.KilledBy != 0 {
+		t.Fatalf("process state %v killed by %v, want a normal exit", p.State, p.KilledBy)
+	}
+	if p.ArmedDump != nil {
+		t.Fatal("exit left the process armed")
+	}
+}
+
 func TestSIGQUITWritesCore(t *testing.T) {
 	w := newWorld(t, Config{TrackNames: true})
 	w.install(t, "/bin/spin", `

@@ -98,6 +98,9 @@ type Machine struct {
 	Config  Config
 	Hooks   MigrationHooks
 	Metrics Metrics
+	// Ext is per-machine state of the package that installed Hooks (the
+	// migration core keeps its page store here); the kernel never reads it.
+	Ext any
 
 	// Obs is this machine's metrics scope and Trace the span tracer. A
 	// standalone machine gets a private registry; the cluster replaces both

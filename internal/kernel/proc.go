@@ -98,6 +98,13 @@ type Proc struct {
 	// measured.
 	Dumping bool
 
+	// ArmedDump, when set, runs once in place of Hooks.Dump at the next
+	// SIGDUMP: a streaming migration ships its final delta through it, a
+	// migration transaction parks the victim after the dump. Its owners
+	// refuse to arm a slot that is already set; the SIGDUMP path and exit
+	// clear it.
+	ArmedDump func(p *Proc) errno.Errno
+
 	// Syscall-restart bookkeeping: while a VM process is inside a system
 	// call, syscallPC holds the address of the SYS instruction so a dump
 	// taken mid-syscall resumes by re-executing the trap (BSD restart
@@ -257,6 +264,7 @@ func (p *Proc) runImage() {
 // finish turns the process into a zombie and handles reaping.
 func (p *Proc) finish(ex procExit) {
 	m := p.M
+	p.ArmedDump = nil
 	for fd := range p.FDs {
 		if p.FDs[fd] != nil {
 			p.closeFile(p.FDs[fd])
@@ -391,7 +399,11 @@ func (p *Proc) deliverSignals() bool {
 					p.Dumping = true
 					p.M.kobs.frozen.Add(1)
 					start, scpu := p.task.Now(), p.STime
-					e := p.M.Hooks.Dump(p)
+					dump := p.M.Hooks.Dump
+					if p.ArmedDump != nil {
+						dump, p.ArmedDump = p.ArmedDump, nil
+					}
+					e := dump(p)
 					p.Dumping = false
 					p.M.kobs.frozen.Add(-1)
 					p.M.Metrics.LastDump = OpTiming{

@@ -15,10 +15,6 @@ type Sys struct {
 	p *Proc
 }
 
-// NewSysForTest builds a Sys for p. It is exported for white-box testing
-// of user programs; simulated code receives its Sys from the kernel.
-func NewSysForTest(p *Proc) *Sys { return &Sys{p: p} }
-
 // enter delivers pending signals at the syscall boundary, as the real
 // kernel does on the way in from user mode, and counts the call.
 func (s *Sys) enter() {

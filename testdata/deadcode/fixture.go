@@ -1,13 +1,15 @@
 // Package deadcode is the fixture for the dead-code guard in
 // deadcode_test.go: the four unused* declarations must be flagged and
-// nothing else.
+// nothing else. Its internal/lib package is the exported-func fixture.
 package deadcode
+
+import fl "fixture/internal/lib"
 
 // Exported uses every used* name.
 func Exported() int {
 	unusedVar := usedHelper() // a local, not the package-level var
 	var t usedType
-	return unusedVar + usedConst + t.unusedHelper + len(usedVar)
+	return unusedVar + usedConst + t.unusedHelper + len(usedVar) + fl.Used()
 }
 
 func usedHelper() int { return 1 }

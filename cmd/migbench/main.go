@@ -347,6 +347,7 @@ func benchCore() error {
 	fmt.Printf("%-44s %.2fM events/s (%d events in %.2f s)\n",
 		"engine churn", r.ChurnEventsPerSec/1e6, r.ChurnEvents, r.ChurnWallS)
 	fmt.Printf("%-44s %.4f (%d freelist misses)\n", "allocs/event", r.AllocsPerEvent, r.ChurnEventAllocs)
+	fmt.Printf("%-44s %d of %d dispatches\n", "goroutine switches", r.ChurnSwitches, r.ChurnEvents)
 	fmt.Printf("%-44s %.2f s\n", "A6 pre-copy sweep wall", r.A6WallS)
 	fmt.Printf("%-44s %.2f s\n", "A9 wire ablation wall", r.A9WallS)
 	return writeBench("BENCH_core.json", r)

@@ -20,6 +20,7 @@ type CoreBench struct {
 	ChurnEventsPerSec float64 `json:"churn_events_per_sec"`
 	ChurnEventAllocs  int64   `json:"churn_event_allocs"`
 	AllocsPerEvent    float64 `json:"churn_allocs_per_event"`
+	ChurnSwitches     int64   `json:"churn_switches"`
 	A6WallS           float64 `json:"a6_wall_s"`
 	A9WallS           float64 `json:"a9_wall_s"`
 }
@@ -74,6 +75,7 @@ func BenchCore() (*CoreBench, error) {
 		ChurnEventsPerSec: float64(st.Dispatched) / wall,
 		ChurnEventAllocs:  st.EventAllocs,
 		AllocsPerEvent:    float64(st.EventAllocs) / float64(st.Dispatched),
+		ChurnSwitches:     st.Switches,
 	}
 
 	start = time.Now()

@@ -159,6 +159,7 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.Eng.Close()
 	c.Eng.Seed(cfg.Seed)
 	if err := c.InstallVM(a13Path, a13ServiceSrc); err != nil {
 		return nil, err

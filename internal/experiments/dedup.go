@@ -252,6 +252,7 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	defer c.Eng.Close()
 	c.Eng.Seed(cfg.Seed)
 	switch mode {
 	case "raw":

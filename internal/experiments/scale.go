@@ -130,6 +130,7 @@ func A11Scale(cfg A11Config) (*A11Result, error) {
 	cfg = cfg.withDefaults()
 	N := cfg.Hosts
 	eng := sim.NewEngine()
+	defer eng.Close()
 	eng.Seed(cfg.Seed)
 	net := netsim.New(eng, 200*sim.Microsecond, 0)
 

@@ -182,6 +182,7 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	defer c.Eng.Close()
 	c.Eng.Seed(cfg.Seed)
 	switch mode {
 	case "stop":

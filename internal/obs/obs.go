@@ -12,8 +12,9 @@
 //  2. Zero allocations on hot paths. Callers resolve counters once (get-or-
 //     create returns a stable pointer) and increment through the pointer;
 //     Observe on a histogram touches only a fixed array. The simulation
-//     engine runs one task at a time with channel handoffs, so plain int64
-//     arithmetic is safe without atomics.
+//     engine runs one task at a time, and every hand-off from one task's
+//     goroutine to the next is a channel operation that orders their
+//     memory accesses, so plain int64 arithmetic is safe without atomics.
 //  3. Deterministic output. Snapshots sort by host then name.
 package obs
 

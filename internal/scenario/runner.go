@@ -103,6 +103,7 @@ func Run(sc *Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.Eng.Close()
 	// Boot parity with the hand-coded experiments: the stock test program
 	// is installed before the seed is applied, workload programs after.
 	if err := c.InstallVM("/bin/counter", cluster.TestProgramSrc); err != nil {

@@ -2,10 +2,13 @@
 //
 // The engine owns a virtual clock and a set of actors (Tasks). Each actor is
 // a goroutine, but exactly one actor runs at any moment: an actor runs until
-// it parks in an engine primitive (Sleep, Wait, ...), at which point control
-// hands back to the engine loop, which advances the clock to the next event
-// and resumes the corresponding actor. Ties are broken by event sequence
-// number, so a given program produces identical virtual timings on every run.
+// it parks in an engine primitive (Sleep, Wait, ...). The engine loop then
+// runs on whichever actor goroutine parked: it advances the clock to the
+// next event and hands the wake cause straight to that event's actor, or
+// simply returns when the event belongs to the parking actor itself. The
+// goroutine that called Run only starts the first actor and waits for the
+// run to end. Ties are broken by event sequence number, so a given program
+// produces identical virtual timings on every run.
 //
 // The event queue is built for cluster-scale runs (thousands of actors,
 // millions of events): a concrete binary heap ordered on (time, seq) with no
@@ -15,10 +18,12 @@
 //
 // All primitives must be called from an actor goroutine; calling them from
 // outside (including from the goroutine running Engine.Run) corrupts the
-// handoff protocol.
+// handoff protocol. An engine whose run ends with actors still parked holds
+// their goroutines until Close unwinds them.
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -76,6 +81,10 @@ type Stats struct {
 	Canceled    int64 // events discarded after cancellation
 	EventAllocs int64 // event structs newly allocated (freelist misses)
 	HeapMax     int   // high-water mark of the pending-timer heap
+	// Switches counts dispatches that resumed a different task from the
+	// one that ran last: each is a goroutine hand-off, where the rest let
+	// the parking task carry straight on.
+	Switches int64
 }
 
 // Engine is a discrete-event simulator.
@@ -93,12 +102,21 @@ type Engine struct {
 	runqHead int
 	free     []*event // event freelist
 	seq      int64
-	handoff  chan struct{} // actor -> engine: "I parked or exited"
-	nlive    int
-	tasks    map[*Task]struct{}
-	current  *Task
-	rng      uint64 // splitmix64 state, see rand.go
-	stats    Stats
+	// handoff tells the goroutine blocked in RunUntil or Close that the
+	// run (or the unwinding task) is over. limit and runErr are
+	// RunUntil's bound and result.
+	handoff chan struct{}
+	limit   Time
+	runErr  error
+	// tasks holds every live task in spawn order; an exited task leaves a
+	// nil slot (its index is Task.slot) until compaction.
+	tasks   []*Task
+	nlive   int
+	current *Task
+	last    *Task  // the task dispatched last, for Stats.Switches
+	closing bool   // set by Close: every park unwinds the task
+	rng     uint64 // splitmix64 state, see rand.go
+	stats   Stats
 }
 
 // Current returns the task that is currently executing, or nil when called
@@ -109,10 +127,7 @@ func (e *Engine) Current() *Task { return e.current }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		handoff: make(chan struct{}),
-		tasks:   make(map[*Task]struct{}),
-	}
+	return &Engine{handoff: make(chan struct{})}
 }
 
 // Now reports the current virtual time.
@@ -217,6 +232,7 @@ func (e *Engine) cancel(ev *event) {
 type Task struct {
 	eng  *Engine
 	name string
+	slot int // index in eng.tasks
 
 	resume chan wakeCause
 
@@ -231,7 +247,11 @@ type wakeCause int
 const (
 	wakeTimer wakeCause = iota // scheduled event fired (Sleep, timeout)
 	wakeQueue                  // woken from a Queue
+	wakeStop                   // unwound by Engine.Close
 )
+
+// errStopped is the panic that unwinds a task's stack when Close stops it.
+var errStopped = errors.New("sim: task stopped by Engine.Close")
 
 // Name reports the task's debug name.
 func (t *Task) Name() string { return t.name }
@@ -250,24 +270,88 @@ func (e *Engine) Go(name string, fn func(*Task)) *Task {
 
 // GoAfter spawns a new actor that begins running after delay d.
 func (e *Engine) GoAfter(name string, d Duration, fn func(*Task)) *Task {
-	t := &Task{eng: e, name: name, resume: make(chan wakeCause)}
+	t := &Task{eng: e, name: name, slot: len(e.tasks), resume: make(chan wakeCause)}
+	e.tasks = append(e.tasks, t)
 	e.nlive++
-	e.tasks[t] = struct{}{}
 	e.schedule(t, e.now+Time(d))
 	go func() {
-		<-t.resume
-		fn(t)
-		e.nlive--
-		delete(e.tasks, t)
-		e.handoff <- struct{}{}
+		t.run(fn)
+		if e.closing {
+			e.handoff <- struct{}{} // tell Close the task is gone
+		} else {
+			e.switchTo(e.dispatch())
+		}
 	}()
 	return t
 }
 
-// park hands control to the engine and blocks until resumed.
+// run waits for the task's first dispatch, calls fn and removes the task.
+// The errStopped panic with which Close unwinds a task ends here.
+func (t *Task) run(fn func(*Task)) {
+	defer func() {
+		if t.eng.closing {
+			if r := recover(); r != nil && r != errStopped {
+				panic(r)
+			}
+		}
+		t.eng.removeTask(t)
+	}()
+	t.wake(<-t.resume)
+	fn(t)
+}
+
+func (e *Engine) removeTask(t *Task) {
+	e.tasks[t.slot] = nil
+	e.nlive--
+	// Compact once exited slots outnumber live tasks, so removal stays
+	// O(1) amortised. Close walks the slice by index, so not while closing.
+	if e.closing || e.nlive*2 >= len(e.tasks) {
+		return
+	}
+	n := 0
+	for _, u := range e.tasks {
+		if u != nil {
+			u.slot = n
+			e.tasks[n] = u
+			n++
+		}
+	}
+	clear(e.tasks[n:])
+	e.tasks = e.tasks[:n]
+}
+
+// park runs the engine loop on the parking task's goroutine and blocks
+// until the task is resumed: at once, with no goroutine switch, when the
+// next event is its own.
 func (t *Task) park() wakeCause {
-	t.eng.handoff <- struct{}{}
-	return <-t.resume
+	e := t.eng
+	if e.closing {
+		panic(errStopped)
+	}
+	next, cause := e.dispatch()
+	if next != t {
+		e.switchTo(next, cause)
+		cause = <-t.resume
+	}
+	return t.wake(cause)
+}
+
+// wake returns a resumption's cause, unwinding the task if Close sent it.
+func (t *Task) wake(cause wakeCause) wakeCause {
+	if cause == wakeStop {
+		panic(errStopped)
+	}
+	return cause
+}
+
+// switchTo resumes next, or, when the run is over (next is nil), returns
+// control to the goroutine blocked in RunUntil.
+func (e *Engine) switchTo(next *Task, cause wakeCause) {
+	if next == nil {
+		e.handoff <- struct{}{}
+		return
+	}
+	next.resume <- cause
 }
 
 // Sleep advances the actor's virtual time by d. Negative durations sleep
@@ -397,78 +481,110 @@ func (e *Engine) Run() error { return e.RunUntil(Time(1)<<62 - 1) }
 // RunUntil drives the simulation until no live tasks remain or the clock
 // would pass limit. Events beyond limit stay queued.
 func (e *Engine) RunUntil(limit Time) error {
-	for {
-		var ev *event
-		// Due heap events first: anything stamped with the current instant
-		// was scheduled before the clock reached it, so it outranks (has a
-		// lower seq than) every run-queue entry.
-		for len(e.heap) > 0 && e.heap[0].canceled {
-			e.stats.Canceled++
-			e.freeEvent(e.heapPop())
-		}
-		if len(e.heap) > 0 && e.heap[0].t == e.now {
-			ev = e.heapPop()
-		} else {
-			// Then the same-instant run queue, in FIFO (= seq) order.
-			for e.runqHead < len(e.runq) {
-				c := e.runq[e.runqHead]
-				e.runq[e.runqHead] = nil
-				e.runqHead++
-				if c.canceled {
-					e.stats.Canceled++
-					e.freeEvent(c)
-					continue
-				}
-				ev = c
-				break
-			}
-			if ev == nil {
-				// Instant exhausted: reset the run queue and advance the
-				// clock to the next pending timer.
-				e.runq = e.runq[:0]
-				e.runqHead = 0
-				if len(e.heap) == 0 {
-					if e.nlive > 0 {
-						return &StallError{At: e.now, Blocked: e.blockedNames()}
-					}
-					return nil
-				}
-				if e.heap[0].t > limit {
-					return nil
-				}
-				ev = e.heapPop()
-				e.now = ev.t
-			}
-		}
-		cause := wakeTimer
-		if ev.fromQueue {
-			cause = wakeQueue
-		}
-		task := ev.task
-		e.freeEvent(ev)
-		e.stats.Dispatched++
-		e.current = task
-		task.resume <- cause
+	e.limit = limit
+	if next, cause := e.dispatch(); next != nil {
+		next.resume <- cause
 		<-e.handoff
 		e.current = nil
-		// A long same-instant storm leaves a drained prefix in the run
-		// queue; compact it so the slice does not grow without bound.
-		if e.runqHead > 1024 && e.runqHead*2 >= len(e.runq) {
-			n := copy(e.runq, e.runq[e.runqHead:])
-			clearTail := e.runq[n:]
-			for i := range clearTail {
-				clearTail[i] = nil
+	}
+	err := e.runErr
+	e.runErr = nil
+	return err
+}
+
+// dispatch selects the next event and returns the task to resume with its
+// cause. It returns a nil task when the run is over — the clock would pass
+// the limit, or no events remain — with any StallError in e.runErr.
+func (e *Engine) dispatch() (*Task, wakeCause) {
+	// A long same-instant storm leaves a drained prefix in the run queue;
+	// compact it so the slice does not grow without bound.
+	if e.runqHead > 1024 && e.runqHead*2 >= len(e.runq) {
+		n := copy(e.runq, e.runq[e.runqHead:])
+		clear(e.runq[n:])
+		e.runq = e.runq[:n]
+		e.runqHead = 0
+	}
+	var ev *event
+	// Due heap events first: anything stamped with the current instant
+	// was scheduled before the clock reached it, so it outranks (has a
+	// lower seq than) every run-queue entry.
+	for len(e.heap) > 0 && e.heap[0].canceled {
+		e.stats.Canceled++
+		e.freeEvent(e.heapPop())
+	}
+	if len(e.heap) > 0 && e.heap[0].t == e.now {
+		ev = e.heapPop()
+	} else {
+		// Then the same-instant run queue, in FIFO (= seq) order.
+		for e.runqHead < len(e.runq) {
+			c := e.runq[e.runqHead]
+			e.runq[e.runqHead] = nil
+			e.runqHead++
+			if c.canceled {
+				e.stats.Canceled++
+				e.freeEvent(c)
+				continue
 			}
-			e.runq = e.runq[:n]
+			ev = c
+			break
+		}
+		if ev == nil {
+			// Instant exhausted: reset the run queue and advance the
+			// clock to the next pending timer.
+			e.runq = e.runq[:0]
 			e.runqHead = 0
+			if len(e.heap) == 0 {
+				if e.nlive > 0 {
+					e.runErr = &StallError{At: e.now, Blocked: e.blockedNames()}
+				}
+				return nil, wakeTimer
+			}
+			if e.heap[0].t > e.limit {
+				return nil, wakeTimer
+			}
+			ev = e.heapPop()
+			e.now = ev.t
 		}
 	}
+	cause := wakeTimer
+	if ev.fromQueue {
+		cause = wakeQueue
+	}
+	task := ev.task
+	e.freeEvent(ev)
+	e.stats.Dispatched++
+	if task != e.last {
+		e.stats.Switches++
+		e.last = task
+	}
+	e.current = task
+	return task, cause
+}
+
+// Close ends the simulation: it unwinds every task that has not finished,
+// in spawn order, and waits for each goroutine to exit. A parked task
+// resumes with a panic that runs its deferred calls and is recovered when
+// it reaches the task's outermost frame; a task that has not started never
+// runs. Call Close from outside any task, after Run or RunUntil returned;
+// the engine must not be used afterwards.
+func (e *Engine) Close() {
+	e.closing = true
+	for i := 0; i < len(e.tasks); i++ {
+		if t := e.tasks[i]; t != nil {
+			e.current = t
+			t.resume <- wakeStop
+			<-e.handoff
+		}
+	}
+	e.current = nil
 }
 
 func (e *Engine) blockedNames() []string {
 	var names []string
-	for t := range e.tasks {
-		names = append(names, t.name)
+	for _, t := range e.tasks {
+		if t != nil {
+			names = append(names, t.name)
+		}
 	}
 	sort.Strings(names)
 	return names

@@ -85,6 +85,10 @@ type Heartbeat struct {
 	Summaries []MemberSummary // piggybacked gossip (optional on the wire)
 }
 
+// hbHeaderWire is the encoded size of a heartbeat's fixed fields (magic,
+// host length, seq, inc, load, proc count), less the host name.
+const hbHeaderWire = 2 + 2 + 4 + 4 + 4 + 2
+
 // procStatWire is the encoded size of one ProcStat.
 const procStatWire = 4 + 4 + 8 + 8
 
@@ -116,20 +120,29 @@ func (hb *Heartbeat) AppendTo(b []byte) []byte {
 	if len(hb.Summaries) > 0 {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Summaries)))
 		for _, s := range hb.Summaries {
-			b = binary.BigEndian.AppendUint16(b, uint16(len(s.Host)))
-			b = append(b, s.Host...)
-			b = binary.BigEndian.AppendUint32(b, s.Seq)
-			b = binary.BigEndian.AppendUint32(b, s.Inc)
-			b = binary.BigEndian.AppendUint32(b, uint32(s.Load))
-			b = binary.BigEndian.AppendUint64(b, uint64(s.Age))
-			var flag byte
-			if s.Suspect {
-				flag = 1
-			}
-			b = append(b, flag)
+			b = appendSummary(b, s)
 		}
 	}
 	return b
+}
+
+// summaryWire is the encoded size of one MemberSummary less its host name.
+const summaryWire = 2 + 4 + 4 + 4 + 8 + 1
+
+// appendSummary encodes one member summary onto b: the single summary
+// encoder behind beacons and anti-entropy sync.
+func appendSummary(b []byte, s MemberSummary) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(s.Host)))
+	b = append(b, s.Host...)
+	b = binary.BigEndian.AppendUint32(b, s.Seq)
+	b = binary.BigEndian.AppendUint32(b, s.Inc)
+	b = binary.BigEndian.AppendUint32(b, uint32(s.Load))
+	b = binary.BigEndian.AppendUint64(b, uint64(s.Age))
+	var flag byte
+	if s.Suspect {
+		flag = 1
+	}
+	return append(b, flag)
 }
 
 // Encode serializes a heartbeat into fresh storage.
@@ -137,40 +150,27 @@ func (hb *Heartbeat) Encode() []byte {
 	return hb.AppendTo(make([]byte, 0, 20+len(hb.Host)+len(hb.Procs)*procStatWire+len(hb.Summaries)*29))
 }
 
-// DecodeHeartbeat parses a beacon, rejecting bad magic, truncation, and
-// trailing garbage.
+// DecodeHeartbeat parses a beacon. Counts are validated against the
+// remaining bytes before any allocation, so hostile input cannot demand
+// memory. Bad magic, truncation, and trailing garbage are rejected.
 func DecodeHeartbeat(raw []byte) (*Heartbeat, error) {
 	hb := &Heartbeat{}
-	if err := DecodeHeartbeatInto(raw, hb, nil); err != nil {
+	p, err := decodeHBMain(raw, hb, nil)
+	if err != nil {
 		return nil, err
 	}
-	return hb, nil
-}
-
-// DecodeHeartbeatInto parses a beacon into hb, reusing hb's Procs and
-// Summaries storage. names, if non-nil, interns host strings so repeated
-// beacons from known hosts allocate nothing. Counts are validated against
-// the remaining bytes before any allocation, so hostile input cannot
-// demand memory. Bad magic, truncation, and trailing garbage are
-// rejected.
-func DecodeHeartbeatInto(raw []byte, hb *Heartbeat, names map[string]string) error {
-	p, err := decodeHBMain(raw, hb, names)
-	if err != nil {
-		return err
-	}
-	hb.Summaries = hb.Summaries[:0]
 	if p == len(raw) {
-		return nil // pre-gossip format: no summary block
+		return hb, nil // pre-gossip format: no summary block
 	}
 	ns, err := validateSummaries(raw, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	p += 2
 	for i := 0; i < ns; i++ {
 		hl := int(binary.BigEndian.Uint16(raw[p:]))
 		hb.Summaries = append(hb.Summaries, MemberSummary{
-			Host:    internName(names, raw[p+2:p+2+hl]),
+			Host:    string(raw[p+2 : p+2+hl]),
 			Seq:     binary.BigEndian.Uint32(raw[p+2+hl:]),
 			Inc:     binary.BigEndian.Uint32(raw[p+2+hl+4:]),
 			Load:    int(int32(binary.BigEndian.Uint32(raw[p+2+hl+8:]))),
@@ -179,12 +179,14 @@ func DecodeHeartbeatInto(raw []byte, hb *Heartbeat, names map[string]string) err
 		})
 		p += 2 + hl + 21
 	}
-	return nil
+	return hb, nil
 }
 
 // decodeHBMain parses the fixed header, host and proc block, returning the
-// offset where the optional summary block begins.
-func decodeHBMain(raw []byte, hb *Heartbeat, names map[string]string) (int, error) {
+// offset where the optional summary block begins. The sender's name is the
+// table's own copy when ms (which may be nil) already knows the host, so a
+// beacon from a known sender allocates no string.
+func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, error) {
 	if len(raw) < 18 {
 		return 0, errBadHeartbeat
 	}
@@ -195,7 +197,7 @@ func decodeHBMain(raw []byte, hb *Heartbeat, names map[string]string) (int, erro
 	if len(raw) < 4+hostLen+14 {
 		return 0, errBadHeartbeat
 	}
-	hb.Host = internName(names, raw[4:4+hostLen])
+	hb.Host = ms.name(raw[4 : 4+hostLen])
 	p := 4 + hostLen
 	hb.Seq = binary.BigEndian.Uint32(raw[p:])
 	hb.Inc = binary.BigEndian.Uint32(raw[p+4:])
@@ -253,12 +255,12 @@ func validateSummaries(raw []byte, p int) (int, error) {
 }
 
 // decodeHeartbeatObserve is the hbd hot path: identical wire validation to
-// DecodeHeartbeatInto, but summaries are streamed straight into the
+// DecodeHeartbeat, but summaries are streamed straight into the
 // membership — one map probe per entry, zero allocations for known hosts —
 // instead of being materialized on the Heartbeat. hb.Summaries is left
 // empty. Returns the number of summaries observed.
-func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, names map[string]string, ms *Membership, now sim.Time) (int, error) {
-	p, err := decodeHBMain(raw, hb, names)
+func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.Time) (int, error) {
+	p, err := decodeHBMain(raw, hb, ms)
 	if err != nil {
 		return 0, err
 	}
@@ -283,21 +285,6 @@ func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, names map[string]string, 
 		p += 2 + hl + 21
 	}
 	return ns, nil
-}
-
-// internName maps raw bytes to a canonical string: the map[string]([]byte
-// key) lookup compiles to a no-allocation probe, so known hosts cost
-// nothing after their first beacon.
-func internName(names map[string]string, b []byte) string {
-	if names == nil {
-		return string(b)
-	}
-	if s, ok := names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	names[s] = s
-	return s
 }
 
 // Config tunes one node's control-plane daemons. Zero values take the
@@ -377,11 +364,9 @@ type Node struct {
 	// hot-path scratch: the engine serializes actors, so one of each per
 	// node suffices.
 	pick   []int  // peer permutation for the partial shuffle
-	encBuf []byte // beacon encode buffer
+	encBuf []byte // beacon and sync encode buffer
 	txHB   Heartbeat
 	rxHB   Heartbeat
-	syncHB Heartbeat         // full-state scratch for anti-entropy exchanges
-	names  map[string]string // interned host names for decode
 
 	cBeaconsOut *obs.Counter
 	cBeaconsIn  *obs.Counter
@@ -425,7 +410,6 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 		src: src, host: host, eng: eng, cfg: cfg,
 		members:    NewMembership(src.HostName(), cfg.SuspectAfter),
 		effSuspect: cfg.SuspectAfter,
-		names:      map[string]string{},
 		inc:        cfg.Incarnation,
 	}
 	if scope != nil {
@@ -454,7 +438,7 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 // handler never parks, so the scratch cannot be observed mid-update.
 func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	nsumm, err := decodeHeartbeatObserve(raw, &n.rxHB, n.names, n.members, now)
+	nsumm, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now)
 	if err != nil {
 		return nil
 	}
@@ -655,14 +639,7 @@ func (n *Node) beaconLoop(t *sim.Task) {
 // stops it once the roster is complete, so its steady-state cost is zero.
 func (n *Node) syncExchange(t *sim.Task) {
 	peer := n.peers[int(n.eng.Rand()%uint64(len(n.peers)))]
-	now := t.Now()
-	n.syncHB.Host = n.src.HostName()
-	n.syncHB.Seq = n.seq
-	n.syncHB.Inc = n.inc
-	n.syncHB.Load = n.src.RunQueueLen()
-	n.syncHB.Procs = n.syncHB.Procs[:0]
-	n.syncHB.Summaries = n.members.AppendSummaries(n.syncHB.Summaries[:0], now)
-	raw := n.syncHB.AppendTo(n.encBuf[:0])
+	raw := n.appendSync(n.encBuf[:0], t.Now())
 	n.encBuf = raw
 	if n.cSyncs != nil {
 		n.cSyncs.Inc()
@@ -674,7 +651,7 @@ func (n *Node) syncExchange(t *sim.Task) {
 		return
 	}
 	rnow := n.now(t)
-	if _, err := decodeHeartbeatObserve(resp, &n.rxHB, n.names, n.members, rnow); err != nil {
+	if _, err := decodeHeartbeatObserve(resp, &n.rxHB, n.members, rnow); err != nil {
 		return
 	}
 	n.members.Observe(&n.rxHB, rnow)
@@ -682,21 +659,26 @@ func (n *Node) syncExchange(t *sim.Task) {
 
 // handleSync is the MemberSyncPort listener: fold the pushed state in,
 // then reply with everything we know — the pull half of push-pull. The
-// reply is freshly allocated: the caller reads it after this handler
-// returns, possibly after another sync has reused any shared scratch.
+// reply is freshly allocated, at its exact size: the caller reads it after
+// this handler returns, possibly after another sync has reused any shared
+// scratch.
 func (n *Node) handleSync(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	if _, err := decodeHeartbeatObserve(raw, &n.rxHB, n.names, n.members, now); err != nil {
+	if _, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now); err != nil {
 		return nil
 	}
 	n.members.Observe(&n.rxHB, now)
-	n.syncHB.Host = n.src.HostName()
-	n.syncHB.Seq = n.seq
-	n.syncHB.Inc = n.inc
-	n.syncHB.Load = n.src.RunQueueLen()
-	n.syncHB.Procs = n.syncHB.Procs[:0]
-	n.syncHB.Summaries = n.members.AppendSummaries(n.syncHB.Summaries[:0], now)
-	return n.syncHB.AppendTo(nil)
+	size := hbHeaderWire + len(n.src.HostName()) + n.members.summaryBlockSize()
+	return n.appendSync(make([]byte, 0, size), now)
+}
+
+// appendSync encodes the anti-entropy payload onto b: a beacon with no
+// proc block whose summaries are every known member, self included, in
+// name order, written straight from the member table.
+func (n *Node) appendSync(b []byte, now sim.Time) []byte {
+	hb := Heartbeat{Host: n.src.HostName(), Seq: n.seq, Inc: n.inc, Load: n.src.RunQueueLen()}
+	b = hb.AppendTo(b)
+	return n.members.appendSummaryBlock(b, now)
 }
 
 // ceilLog2 returns ⌈log₂ n⌉ (0 for n ≤ 1).

@@ -2,6 +2,7 @@ package ha_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"procmig/internal/ha"
@@ -32,6 +33,57 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 		}
 		if !bytes.Equal(hb.Encode(), data) {
 			t.Fatalf("accepted beacon does not round-trip: %x", data)
+		}
+	})
+}
+
+// FuzzObserveHeartbeat holds hbd's receive path to the reference decoder.
+// decodeHeartbeatObserve streams summaries into the member table instead
+// of materializing them, so it must accept exactly what DecodeHeartbeat
+// accepts, report the same sender fields, and leave the sender and every
+// summarized host in the table (the table's own host excepted: hearsay
+// never vouches for self).
+func FuzzObserveHeartbeat(f *testing.F) {
+	const self = "alpha"
+	good := &ha.Heartbeat{Host: "bravo", Seq: 42, Inc: 1, Load: 3,
+		Procs: []ha.ProcStat{{PID: 1042, OldPID: 17, Age: 9 * sim.Second, CPU: 4 * sim.Second}},
+		Summaries: []ha.MemberSummary{
+			{Host: self, Seq: 7, Age: sim.Second},
+			{Host: "bravo", Seq: 41},
+			{Host: "charlie", Seq: 3, Inc: 2, Load: 1, Age: 2 * sim.Second, Suspect: true},
+		},
+	}
+	raw := good.Encode()
+	f.Add(raw)
+	f.Add(raw[:len(raw)-1])
+	f.Add(append(append([]byte{}, raw...), 0))
+	f.Add((&ha.Heartbeat{Host: self}).Encode())
+	f.Add(append((&ha.Heartbeat{Host: "x"}).Encode(), 0, 0)) // empty summary block
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := ha.DecodeHeartbeat(data)
+		ms := ha.NewMembership(self, 3*sim.Second)
+		hb, ns, err := ha.ObserveHeartbeat(ms, data, sim.Time(10*sim.Second))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("hot path err %v, reference err %v on %x", err, refErr, data)
+		}
+		if err != nil {
+			return
+		}
+		if ns != len(ref.Summaries) {
+			t.Fatalf("hot path observed %d summaries, reference decoded %d", ns, len(ref.Summaries))
+		}
+		summaries := ref.Summaries
+		ref.Summaries = nil
+		if !reflect.DeepEqual(hb, ref) {
+			t.Fatalf("hot path decoded %+v, reference %+v", hb, ref)
+		}
+		if _, ok := ms.LastHeard(ref.Host); !ok {
+			t.Fatalf("sender %q not in the table", ref.Host)
+		}
+		for _, s := range summaries {
+			if _, ok := ms.LastHeard(s.Host); !ok && s.Host != self {
+				t.Fatalf("summarized host %q not in the table", s.Host)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package ha
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"procmig/internal/sim"
@@ -443,13 +444,43 @@ func (ms *Membership) gossipBudget() int {
 	return defaultGossipBudget
 }
 
-// AppendSummaries appends one summary per known member — self included —
-// in name order: the full-state payload for anti-entropy sync.
-func (ms *Membership) AppendSummaries(dst []MemberSummary, now sim.Time) []MemberSummary {
-	for _, st := range ms.byName {
-		dst = append(dst, ms.summarize(st, now))
+// appendSummaryBlock encodes one summary per known member — self included
+// — in name order as a heartbeat summary block: the full-state payload for
+// anti-entropy sync. An empty table writes nothing, as AppendTo omits an
+// empty block.
+func (ms *Membership) appendSummaryBlock(b []byte, now sim.Time) []byte {
+	if len(ms.byName) == 0 {
+		return b
 	}
-	return dst
+	b = binary.BigEndian.AppendUint16(b, uint16(len(ms.byName)))
+	for _, st := range ms.byName {
+		b = appendSummary(b, ms.summarize(st, now))
+	}
+	return b
+}
+
+// summaryBlockSize is the encoded size of appendSummaryBlock's output.
+func (ms *Membership) summaryBlockSize() int {
+	if len(ms.byName) == 0 {
+		return 0
+	}
+	size := 2
+	for _, st := range ms.byName {
+		size += summaryWire + len(st.host)
+	}
+	return size
+}
+
+// name returns the table's copy of a host name, so decoding a known
+// host's name allocates nothing; an unknown name (or a nil table) is
+// copied.
+func (ms *Membership) name(b []byte) string {
+	if ms != nil {
+		if st, ok := ms.members[string(b)]; ok {
+			return st.host
+		}
+	}
+	return string(b)
 }
 
 // summarize builds the gossip entry for one member. For a live member the

@@ -220,11 +220,8 @@ func (n *Network) deliver(t *sim.Task, from, to *Host, client *Host, port int, n
 	f := n.faultFor(from.name, to.name, port)
 	wire := n.Latency + sim.Duration(nbytes)*n.ByteTime + f.Delay
 	n.count(from, to, client, port, nbytes)
-	lo := n.linkObsFor(from, to)
 	if to.down {
-		if lo != nil {
-			lo.dropped.Inc()
-		}
+		n.countLinkFault(from, to, false)
 		n.chargeTimeout(t)
 		return false, errno.EHOSTDOWN
 	}
@@ -232,9 +229,7 @@ func (n *Network) deliver(t *sim.Task, from, to *Host, client *Host, port int, n
 		// Cut by a partition: the message went on the wire and vanished.
 		// Deterministic (no PRNG draw) and invisible to scripted crashes —
 		// a message that never arrives cannot advance a CrashAfter count.
-		if lo != nil {
-			lo.dropped.Inc()
-		}
+		n.countLinkFault(from, to, false)
 		if t != nil {
 			t.Sleep(wire)
 		}
@@ -242,9 +237,7 @@ func (n *Network) deliver(t *sim.Task, from, to *Host, client *Host, port int, n
 		return false, errno.ETIMEDOUT
 	}
 	if f.Drop > 0 && n.eng.RandFloat() < f.Drop {
-		if lo != nil {
-			lo.dropped.Inc()
-		}
+		n.countLinkFault(from, to, false)
 		if t != nil {
 			t.Sleep(wire)
 		}
@@ -253,9 +246,7 @@ func (n *Network) deliver(t *sim.Task, from, to *Host, client *Host, port int, n
 	}
 	if to.crashArm(port) {
 		to.Crash()
-		if lo != nil {
-			lo.dropped.Inc()
-		}
+		n.countLinkFault(from, to, false)
 		n.chargeTimeout(t)
 		return false, errno.EHOSTDOWN
 	}
@@ -263,14 +254,9 @@ func (n *Network) deliver(t *sim.Task, from, to *Host, client *Host, port int, n
 		dup = true
 		n.count(from, to, client, port, nbytes)
 		wire += n.Latency + sim.Duration(nbytes)*n.ByteTime
-		if lo != nil {
-			lo.duplicated.Inc()
-		}
+		n.countLinkFault(from, to, true)
 	}
 	to.portMsgsIn[port]++
-	if lo != nil {
-		lo.delivered.Inc()
-	}
 	if t != nil {
 		t.Sleep(wire)
 	}

@@ -51,22 +51,24 @@ type Network struct {
 	// would have moved.
 	BytesElided int64
 
-	// obs wiring (nil until SetObs): per-link delivered/dropped/duplicated
-	// counters, pre-resolved into each sender's obsTo cache so the
-	// steady-state deliver path pays one pointer-keyed map lookup and no
-	// allocations.
+	// obs wiring (nil until SetObs): per-link drop and dup counters,
+	// resolved into the sender's obsTo cache on each link's first fault
+	// (see countLinkFault).
 	obsReg *obs.Registry
 }
 
-// linkObsSet is one directed link's pre-resolved counters, registered under
-// the sending host's scope as link.<to>.{delivered,dropped,duplicated}.
-type linkObsSet struct {
-	delivered, dropped, duplicated *obs.Counter
+// linkObs is one directed link's fault counters, registered under the
+// sending host's scope as link.<to>.dropped and link.<to>.duplicated. Each
+// is created on the link's first fault of its kind: a link that never
+// drops or duplicates a message has no registry rows, and a cleanly
+// delivered message looks nothing up.
+type linkObs struct {
+	dropped, duplicated *obs.Counter
 }
 
-// SetObs points the network at a metrics registry; message outcomes are
-// counted per directed link from then on. Switching registries invalidates
-// every host's cached counters.
+// SetObs points the network at a metrics registry; dropped and duplicated
+// messages are counted per directed link from then on. Switching
+// registries invalidates every host's cached counters.
 func (n *Network) SetObs(reg *obs.Registry) {
 	n.obsReg = reg
 	for _, h := range n.hosts {
@@ -78,28 +80,29 @@ func (n *Network) SetObs(reg *obs.Registry) {
 // the handle client-side code with only a *Host can reach metrics through.
 func (n *Network) Obs() *obs.Registry { return n.obsReg }
 
-// linkObsFor resolves (creating on first use) the counters for one
-// directed link. Nil when no registry is attached. The steady-state path
-// is a single pointer-keyed lookup in the sender's own cache — no string
-// hashing per message.
-func (n *Network) linkObsFor(from, to *Host) *linkObsSet {
+// countLinkFault counts one message from -> to as dropped (or, with dup, as
+// duplicated), creating the link's counter on its first use. A no-op when
+// no registry is attached.
+func (n *Network) countLinkFault(from, to *Host, dup bool) {
 	if n.obsReg == nil {
-		return nil
+		return
 	}
-	if lo, ok := from.obsTo[to]; ok {
-		return lo
+	lo := from.obsTo[to]
+	if lo == nil {
+		lo = &linkObs{}
+		if from.obsTo == nil {
+			from.obsTo = map[*Host]*linkObs{}
+		}
+		from.obsTo[to] = lo
 	}
-	s := n.obsReg.Scope(from.name)
-	lo := &linkObsSet{
-		delivered:  s.Counter("link." + to.name + ".delivered"),
-		dropped:    s.Counter("link." + to.name + ".dropped"),
-		duplicated: s.Counter("link." + to.name + ".duplicated"),
+	c, kind := &lo.dropped, ".dropped"
+	if dup {
+		c, kind = &lo.duplicated, ".duplicated"
 	}
-	if from.obsTo == nil {
-		from.obsTo = map[*Host]*linkObsSet{}
+	if *c == nil {
+		*c = n.obsReg.Scope(from.name).Counter("link." + to.name + kind)
 	}
-	from.obsTo[to] = lo
-	return lo
+	(*c).Inc()
 }
 
 // HostStats counts one host's traffic (messages and payload bytes in each
@@ -141,9 +144,10 @@ type Host struct {
 	// (lost ones excluded) — the clock scripted crashes run on.
 	portMsgsIn map[int]int64
 
-	// obsTo caches this host's outbound per-link counters by destination,
-	// replacing a string-pair map probe on every delivered message.
-	obsTo map[*Host]*linkObsSet
+	// obsTo caches this host's outbound per-link fault counters by
+	// destination; only links that have dropped or duplicated a message
+	// have an entry.
+	obsTo map[*Host]*linkObs
 
 	crashAt      map[int]int // port -> messages until a scripted crash
 	crashHook    func()

@@ -41,22 +41,34 @@ type Exec struct {
 // header layout: magic(2) isa(2) textsize(4) datasize(4) entry(4)
 const headerSize = 16
 
-// Encode serializes the executable, big-endian like the 68000 family. The
-// output is allocated once, at its exact length: a dump's a.out is as big
-// as the process image.
-func (e *Exec) Encode() []byte {
-	b := make([]byte, headerSize+len(e.Text)+len(e.Data))
-	binary.BigEndian.PutUint16(b[0:], OMAGIC)
-	binary.BigEndian.PutUint16(b[2:], uint16(e.ISA))
-	binary.BigEndian.PutUint32(b[4:], uint32(len(e.Text)))
-	binary.BigEndian.PutUint32(b[8:], uint32(len(e.Data)))
-	binary.BigEndian.PutUint32(b[12:], e.Entry)
-	n := copy(b[headerSize:], e.Text)
-	copy(b[headerSize+n:], e.Data)
-	return b
+// Layout allocates an executable file of its exact length, big-endian like
+// the 68000 family, writes the header and text, and returns the file with
+// its data region, still zero, for the caller to fill in place: a dump's
+// a.out is as big as the process image, so it is built once, where it
+// will live.
+func Layout(isa vm.Level, entry uint32, text []byte, dataLen int) (raw, data []byte) {
+	raw = make([]byte, headerSize+len(text)+dataLen)
+	binary.BigEndian.PutUint16(raw[0:], OMAGIC)
+	binary.BigEndian.PutUint16(raw[2:], uint16(isa))
+	binary.BigEndian.PutUint32(raw[4:], uint32(len(text)))
+	binary.BigEndian.PutUint32(raw[8:], uint32(dataLen))
+	binary.BigEndian.PutUint32(raw[12:], entry)
+	n := copy(raw[headerSize:], text)
+	return raw, raw[headerSize+n:]
 }
 
-// Decode parses an executable produced by Encode.
+// Encode serializes the executable into one buffer of its exact length.
+func (e *Exec) Encode() []byte {
+	raw, data := Layout(e.ISA, e.Entry, e.Text, len(e.Data))
+	copy(data, e.Data)
+	return raw
+}
+
+// Decode parses an executable produced by Encode. It does not copy: Text
+// and Data are full-slice expressions of raw (cap == len, so appending to
+// one never overwrites the other or the bytes after it), and they share
+// raw's storage. The caller hands over a buffer it owns, such as a
+// ReadAt result, and must not reuse it while the Exec is live.
 func Decode(raw []byte) (*Exec, error) {
 	if len(raw) < headerSize {
 		return nil, ErrTruncated
@@ -65,19 +77,17 @@ func Decode(raw []byte) (*Exec, error) {
 		return nil, ErrBadMagic
 	}
 	isa := vm.Level(binary.BigEndian.Uint16(raw[2:]))
-	tsz := binary.BigEndian.Uint32(raw[4:])
-	dsz := binary.BigEndian.Uint32(raw[8:])
+	tsz := uint64(binary.BigEndian.Uint32(raw[4:]))
+	dsz := uint64(binary.BigEndian.Uint32(raw[8:]))
 	entry := binary.BigEndian.Uint32(raw[12:])
-	if uint32(len(raw)) < headerSize+tsz+dsz {
+	// The sizes are untrusted: add them in 64 bits, where two 32-bit
+	// sizes cannot wrap past the file length.
+	if uint64(len(raw)) < headerSize+tsz+dsz {
 		return nil, ErrTruncated
 	}
-	e := &Exec{
-		ISA:   isa,
-		Entry: entry,
-		Text:  append([]byte(nil), raw[headerSize:headerSize+tsz]...),
-		Data:  append([]byte(nil), raw[headerSize+tsz:headerSize+tsz+dsz]...),
-	}
-	return e, nil
+	t := headerSize + int(tsz)
+	d := t + int(dsz)
+	return &Exec{ISA: isa, Entry: entry, Text: raw[headerSize:t:t], Data: raw[t:d:d]}, nil
 }
 
 // EncodeHosted builds a hosted-program stub: an "executable" whose body is
@@ -178,7 +188,7 @@ func DecodeCore(raw []byte) (*Core, error) {
 	p++
 	c.Regs.Z = fl&1 != 0
 	c.Regs.N = fl&2 != 0
-	if uint32(len(raw)) < uint32(p)+dsz+ssz {
+	if uint64(len(raw)) < uint64(p)+uint64(dsz)+uint64(ssz) {
 		return nil, ErrTruncated
 	}
 	c.Data = append([]byte(nil), raw[p:p+int(dsz)]...)

@@ -2,6 +2,7 @@ package aout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -143,5 +144,79 @@ func TestCoreRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRejectsWrappedSizes: the section sizes are untrusted. Two
+// 32-bit sizes whose sum wraps past 2^32 to the file's own length must be
+// refused as truncated, not sliced.
+func TestDecodeRejectsWrappedSizes(t *testing.T) {
+	exe := make([]byte, headerSize+8)
+	binary.BigEndian.PutUint16(exe[0:], OMAGIC)
+	binary.BigEndian.PutUint32(exe[4:], 0xFFFFFFF8) // text
+	binary.BigEndian.PutUint32(exe[8:], 0x10)       // data: 16+text+data wraps to 24
+	if _, err := Decode(exe); err != ErrTruncated {
+		t.Fatalf("wrapped a.out sizes: err = %v, want ErrTruncated", err)
+	}
+
+	core := make([]byte, coreFixed+8)
+	binary.BigEndian.PutUint16(core[0:], CoreMagic)
+	binary.BigEndian.PutUint32(core[8:], 0xFFFFFFFC) // data
+	binary.BigEndian.PutUint32(core[12:], 0xC)       // stack: 57+data+stack wraps to 65
+	if _, err := DecodeCore(core); err != ErrTruncated {
+		t.Fatalf("wrapped core sizes: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestDecodeAliasesRaw: Decode hands back Text and Data as views of raw,
+// each capped at its own end, so growing one copies instead of writing
+// over the other or over the bytes after it.
+func TestDecodeAliasesRaw(t *testing.T) {
+	raw := append((&Exec{ISA: vm.ISA1, Text: []byte{1, 2, 3}, Data: []byte{4, 5}}).Encode(), 0xEE)
+	e, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(e.Text) != len(e.Text) || cap(e.Data) != len(e.Data) {
+		t.Fatalf("cap(Text) %d len %d, cap(Data) %d len %d: want cap == len",
+			cap(e.Text), len(e.Text), cap(e.Data), len(e.Data))
+	}
+	if &e.Text[0] != &raw[headerSize] || &e.Data[0] != &raw[headerSize+3] {
+		t.Fatal("Text and Data are not views of raw")
+	}
+	_ = append(e.Text, 0xAA, 0xAA)
+	if string(e.Data) != "\x04\x05" {
+		t.Fatalf("appending to Text changed Data to %x", e.Data)
+	}
+	_ = append(e.Data, 0xBB)
+	if string(e.Text) != "\x01\x02\x03" || raw[len(raw)-1] != 0xEE {
+		t.Fatalf("appending to Data changed Text to %x or the byte after it to %x", e.Text, raw[len(raw)-1])
+	}
+}
+
+// TestDecodeAllocatesOnlyTheExec: Decode copies no section; its one
+// allocation is the *Exec it returns.
+func TestDecodeAllocatesOnlyTheExec(t *testing.T) {
+	raw := (&Exec{ISA: vm.ISA1, Text: make([]byte, 1000), Data: make([]byte, 64<<10)}).Encode()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Decode allocates %v objects, want 1 (the *Exec)", n)
+	}
+}
+
+// TestLayoutLeavesDataZeroAtTheEnd: Layout's data region is the zeroed
+// tail of the file, and filling it yields exactly Encode's bytes.
+func TestLayoutLeavesDataZeroAtTheEnd(t *testing.T) {
+	e := &Exec{ISA: vm.ISA2, Entry: 0x1c, Text: []byte{1, 2, 3}, Data: []byte{9, 8, 7}}
+	raw, data := Layout(e.ISA, e.Entry, e.Text, len(e.Data))
+	if len(data) != 3 || !bytes.Equal(data, make([]byte, 3)) || &data[0] != &raw[headerSize+3] || cap(raw) != len(raw) {
+		t.Fatalf("data region %x (len %d) is not the zeroed tail of the %d-byte file", data, len(data), len(raw))
+	}
+	copy(data, e.Data)
+	if !bytes.Equal(raw, e.Encode()) {
+		t.Fatal("a filled layout differs from Encode")
 	}
 }

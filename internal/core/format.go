@@ -119,7 +119,7 @@ func (r *reader) take(n int) []byte {
 		r.err = ErrTruncated
 		return nil
 	}
-	out := r.buf[:n]
+	out := r.buf[:n:n]
 	r.buf = r.buf[n:]
 	return out
 }
@@ -247,7 +247,9 @@ func (s *StackFile) Encode() []byte {
 	return binary.BigEndian.AppendUint32(b, s.OldPID)
 }
 
-// DecodeStack parses a stack file, verifying its magic number.
+// DecodeStack parses a stack file, verifying its magic number. Stack is
+// not copied: it aliases raw (cap == len), so the caller passes a buffer
+// it owns and does not reuse.
 func DecodeStack(raw []byte) (*StackFile, error) {
 	r := &reader{buf: raw}
 	if r.u16() != StackMagic {
@@ -262,7 +264,7 @@ func DecodeStack(raw []byte) (*StackFile, error) {
 	s.Creds.EUID = int(int32(r.u32()))
 	s.Creds.EGID = int(int32(r.u32()))
 	n := int(r.u32())
-	s.Stack = append([]byte(nil), r.take(n)...)
+	s.Stack = r.take(n)
 	for i := range s.Regs.R {
 		s.Regs.R[i] = r.u32()
 	}

@@ -123,6 +123,28 @@ func TestStackEncodeExactSize(t *testing.T) {
 	}
 }
 
+// TestDecodeStackAliasesRaw: DecodeStack does not copy the stack; Stack
+// is a view of raw capped at its own end, and the *StackFile is the one
+// allocation. rest_proc copies the view into the stack execve allocated.
+func TestDecodeStackAliasesRaw(t *testing.T) {
+	raw := sampleStack().Encode()
+	sf, err := core.DecodeStack(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 2 + 4*4 + 4 // magic, creds, stack length
+	if len(sf.Stack) == 0 || &sf.Stack[0] != &raw[at] || cap(sf.Stack) != len(sf.Stack) {
+		t.Fatalf("Stack (len %d cap %d) is not a capped view of raw", len(sf.Stack), cap(sf.Stack))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := core.DecodeStack(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("DecodeStack allocates %v objects, want 1 (the *StackFile)", n)
+	}
+}
+
 func FuzzDecodeStack(f *testing.F) {
 	raw := sampleStack().Encode()
 	f.Add(raw)
@@ -133,6 +155,9 @@ func FuzzDecodeStack(f *testing.F) {
 		sf, err := core.DecodeStack(data)
 		if err != nil {
 			return
+		}
+		if cap(sf.Stack) != len(sf.Stack) {
+			t.Fatalf("Stack len %d cap %d: want cap == len", len(sf.Stack), cap(sf.Stack))
 		}
 		if _, err := core.DecodeStack(sf.Encode()); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)

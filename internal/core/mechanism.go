@@ -49,12 +49,8 @@ func Dump(p *kernel.Proc) errno.Errno {
 	}
 
 	// a.out: a real executable whose data segment is the current data.
-	exe := &aout.Exec{
-		ISA:   vm.MinISA(p.VM.Text),
-		Entry: p.ExecEntry,
-		Text:  append([]byte(nil), p.VM.Text...),
-		Data:  append([]byte(nil), p.VM.Data...),
-	}
+	// Encode copies the live segments into the file.
+	exe := &aout.Exec{ISA: vm.MinISA(p.VM.Text), Entry: p.ExecEntry, Text: p.VM.Text, Data: p.VM.Data}
 
 	costs := m.Costs
 	for _, out := range []struct {
@@ -108,7 +104,8 @@ func buildFilesFile(p *kernel.Proc) *FilesFile {
 
 // RestProc implements the rest_proc(aoutPath, stackPath) system call
 // (§5.2): overlay the calling process with the dumped one. It follows the
-// paper's steps literally, including the global-flag coupling with execve.
+// paper's steps literally, including the flag coupling with execve (the
+// flag is the process's own, not global; see kernel.Proc.SetRestProcMode).
 func RestProc(p *kernel.Proc, aoutPath, stackPath string) errno.Errno {
 	m := p.M
 
@@ -130,13 +127,13 @@ func RestProc(p *kernel.Proc, aoutPath, stackPath string) errno.Errno {
 		return errno.ENOEXEC
 	}
 
-	// Set the global flag indicating process migration and the desired
+	// Set the flag indicating process migration and the desired
 	// stack size, and call execve on the a.out with a null environment
 	// ("as the environment of the old process was stored in its stack, it
 	// will be automatically restored when the stack is read in").
-	m.SetRestProcMode(true, uint32(len(sf.Stack)))
+	p.SetRestProcMode(true, uint32(len(sf.Stack)))
 	execErr := p.Execve(aoutPath, nil, nil)
-	m.SetRestProcMode(false, 0)
+	p.SetRestProcMode(false, 0)
 	if execErr != 0 {
 		return execErr
 	}
@@ -146,8 +143,9 @@ func RestProc(p *kernel.Proc, aoutPath, stackPath string) errno.Errno {
 	// owner of the process or the superuser is able to do it.)
 	p.Creds = sf.Creds
 
-	// Read in the contents of the stack and registers.
-	p.VM.SetStackImage(sf.Stack)
+	// Read in the contents of the stack and registers. execve allocated
+	// the stack at exactly this size.
+	copy(p.VM.Stack, sf.Stack)
 	p.VM.Restore(sf.Regs)
 	p.ChargeSys(sim.Duration(len(sf.Stack)) * m.Costs.DumpPerByte)
 

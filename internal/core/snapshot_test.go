@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"procmig/internal/aout"
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
 	"procmig/internal/sim"
@@ -301,6 +302,28 @@ func TestGuardCommitAllocatesDelta(t *testing.T) {
 			perCommit, dataLen/8, dataLen)
 	}
 	t.Logf("delta commit of a %d KiB image allocates %d B", dataLen>>10, perCommit)
+}
+
+// TestSpoolBuildsEachFileOnce: spooling a committed image allocates three
+// objects: the a.out, whose data segment the pages are overlaid into in
+// place, the stack it carves out of the pages, and the stack file. The
+// files file is the one the assembler already holds.
+func TestSpoolBuildsEachFileOnce(t *testing.T) {
+	h := newCkptHarness(t)
+	h.checkpoint()
+	snap := h.buddy.snaps[0]
+	a, _, s := snap.Spool()
+	want := (&aout.Exec{ISA: h.cpu.ISA, Text: h.cpu.Text, Data: h.cpu.Data}).Encode()
+	if !bytes.Equal(a, want) {
+		t.Fatal("spooled a.out differs from the source's image")
+	}
+	sf, err := DecodeStack(s)
+	if err != nil || !bytes.Equal(sf.Stack, h.cpu.StackImage()) {
+		t.Fatalf("spooled stack differs from the source's (err %v)", err)
+	}
+	if n := testing.AllocsPerRun(20, func() { snap.Spool() }); n != 3 {
+		t.Fatalf("Spool allocates %v objects, want 3 (a.out, stack, stack file)", n)
+	}
 }
 
 // TestAssemblerRejectsOutOfRangeGeometry: the hello, the page numbers and

@@ -1368,8 +1368,9 @@ func (a *ImageAssembler) Spool() (aoutRaw, filesRaw, stackRaw []byte, err error)
 func (c *CommittedImage) Spool() (aoutRaw, filesRaw, stackRaw []byte) {
 	// Pages are absolute-addressed; carve the data segment and the stack
 	// back out of them. Pages never sent are unmaterialized, i.e. zero.
+	// The data segment is overlaid straight into the a.out's data region.
 	dataBase := vm.DataBase(int(c.hello.TextLen))
-	data := make([]byte, c.hello.DataLen)
+	aoutRaw, data := aout.Layout(c.hello.ISA, c.hello.Entry, c.text, int(c.hello.DataLen))
 	stack := make([]byte, c.stackLen)
 	stackBase := uint32(vm.StackTop - c.stackLen)
 	for pg, contents := range c.pages {
@@ -1379,7 +1380,5 @@ func (c *CommittedImage) Spool() (aoutRaw, filesRaw, stackRaw []byte) {
 	}
 	sf := *c.sf
 	sf.Stack = stack
-
-	exe := &aout.Exec{ISA: c.hello.ISA, Entry: c.hello.Entry, Text: c.text, Data: data}
-	return exe.Encode(), c.filesRaw, sf.Encode()
+	return aoutRaw, c.filesRaw, sf.Encode()
 }

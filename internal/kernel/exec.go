@@ -13,10 +13,13 @@ import (
 // SetRestProcMode sets or clears the paper's §5.2 coupling between
 // rest_proc and execve: while the flag is set, execve allocates stackSize
 // bytes of initial stack instead of building an argument/environment stack.
-// Only the core package's rest_proc implementation uses this.
-func (m *Machine) SetRestProcMode(on bool, stackSize uint32) {
-	m.restProcFlag = on
-	m.restProcStackSize = stackSize
+// Only the core package's rest_proc implementation uses this. The paper's
+// flag is global; here it is the calling process's, because a simulated
+// execve sleeps on the disk, and a second rest_proc (or a plain exec) on
+// the same machine could run while the first one's flag is up.
+func (p *Proc) SetRestProcMode(on bool, stackSize uint32) {
+	p.restProcFlag = on
+	p.restProcStackSize = stackSize
 }
 
 // Execve is the exported execve(2) for kernel-adjacent code (rest_proc).
@@ -86,20 +89,28 @@ func (p *Proc) execveInner(path string, args, env []string) errno.Errno {
 	}
 	p.sysCPU(sim.Duration(len(exe.Text)+len(exe.Data)) * m.Costs.ExecPerByte)
 
-	cpu := vm.New(exe.Text, append([]byte(nil), exe.Data...), m.ISA)
-	cpu.PC = exe.Entry
-	if m.restProcFlag {
-		// Called from rest_proc: allocate exactly the dumped process's
-		// stack size; rest_proc fills in the contents and registers.
-		cpu.SetStackImage(make([]byte, m.restProcStackSize))
-	} else {
-		setupStack(cpu, args, env)
-	}
-	p.VM = cpu
+	p.VM = p.newImage(exe, args, env)
 	p.hosted = nil
 	p.ExecEntry = exe.Entry
 	p.Cmd = abs
 	return 0
+}
+
+// newImage builds the CPU execve installs. Text and data are exe's own
+// buffers, not copies: Decode aliases the private buffer ReadAt returned,
+// the data segment never grows, and a store into text faults. The stack
+// is the exec ABI's argument block, or, called from rest_proc, exactly
+// the dumped process's stack size, zeroed; rest_proc copies in the
+// contents and registers.
+func (p *Proc) newImage(exe *aout.Exec, args, env []string) *vm.CPU {
+	cpu := vm.New(exe.Text, exe.Data, p.M.ISA)
+	cpu.PC = exe.Entry
+	if p.restProcFlag {
+		cpu.SetStackImage(make([]byte, p.restProcStackSize))
+	} else {
+		setupStack(cpu, args, env)
+	}
+	return cpu
 }
 
 // setupStack lays out the exec ABI: the environment block, then the

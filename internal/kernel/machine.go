@@ -124,12 +124,6 @@ type Machine struct {
 	NameBytes     int64
 	NameBytesPeak int64
 
-	// The paper's rest_proc/execve coupling (§5.2): a global flag telling
-	// execve it is being called from rest_proc, plus the desired initial
-	// stack size.
-	restProcFlag      bool
-	restProcStackSize uint32
-
 	// netStack is the datagram network (nil until the cluster installs
 	// one); see socket.go.
 	netStack NetStack

@@ -68,6 +68,12 @@ type Proc struct {
 	// dumps so undump can rebuild a runnable executable).
 	ExecEntry uint32
 
+	// The paper's rest_proc/execve coupling (§5.2): a flag telling execve
+	// it is being called from rest_proc, plus the desired initial stack
+	// size. See SetRestProcMode.
+	restProcFlag      bool
+	restProcStackSize uint32
+
 	sigPending uint32
 	SigActions [NSIG]SigAction
 

@@ -101,7 +101,8 @@ type BaseFS interface {
 	Rename(olddir NodeID, oldname string, newdir NodeID, newname string) error
 	// ReadDir lists a directory, sorted by name.
 	ReadDir(n NodeID) ([]Dirent, error)
-	// ReadAt reads up to ln bytes at off from a regular file.
+	// ReadAt reads up to ln bytes at off from a regular file into a new
+	// buffer the caller owns: execve hands it to the VM without a copy.
 	ReadAt(n NodeID, off int64, ln int) ([]byte, error)
 	// WriteAt writes data at off, extending the file (zero-filling any
 	// gap) as needed. Returns bytes written.

@@ -145,9 +145,10 @@ func (c *CPU) StackImage() []byte {
 }
 
 // SetStackImage installs img as the stack contents ending at StackTop and
-// points SP at its first byte.
+// points SP at its first byte. Like New's data, img is used directly (not
+// copied); stack growth moves the stack to a new buffer.
 func (c *CPU) SetStackImage(img []byte) {
-	c.Stack = append([]byte(nil), img...)
+	c.Stack = img
 	c.R[RegSP] = StackTop - uint32(len(img))
 }
 

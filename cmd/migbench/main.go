@@ -140,7 +140,7 @@ func a11() error {
 		return err
 	}
 	header(fmt.Sprintf("A11 — %d hosts, %d procs under churn: gossip membership + crash wave", r.Hosts, r.Procs))
-	fmt.Printf("%-44s %d peers/interval (piggyback %d summaries)\n", "gossip fanout k", r.GossipK, r.Piggyback)
+	fmt.Printf("%-44s %d peers/interval (up to k news summaries per beacon)\n", "gossip fanout k", r.GossipK)
 	fmt.Printf("%-44s %.0f (full mesh would be %.0f; %d boot syncs)\n",
 		"hb msgs/interval", r.HBMsgsPerInterval, r.FullMeshMsgsPerInterval, r.SyncMsgs)
 	fmt.Printf("%-44s %d intervals\n", "membership converged in", r.ConvergedIn)

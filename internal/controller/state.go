@@ -223,8 +223,8 @@ func (c *Controller) judge(view []ha.Member, now sim.Time) int {
 					grace = c.cfg.SpawnGrace
 					ref = r.since
 				}
-				// Gossip refreshes liveness every interval but the proc
-				// census only on a direct beacon, so at scale the census
+				// At scale a host's liveness needs no fresh beacon but its
+				// proc census arrives only on a direct one, so the census
 				// lags by many intervals. A census taken before the replica
 				// was last known alive proves nothing about it — only
 				// absence from a census newer than the evidence convicts.

@@ -76,6 +76,21 @@ wsend:  .word 0
 `, pages, dataKiB<<10)
 }
 
+// imagesLoaded reports whether no process running path on c is still
+// loading its image. The controller sights a replica from its spawn on,
+// so a rollout converges while the exec storm is still running; anything
+// sized from "the replicas run" has to wait for this as well.
+func imagesLoaded(c *cluster.Cluster, path string) bool {
+	for _, hn := range c.Names() {
+		for _, p := range c.Machine(hn).Procs() {
+			if p.Spawning && p.Cmd == path {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // a14DrainWave keeps waves much smaller than the packed host's
 // population: only the first wave (and its overlapped prewarm) can ship
 // full pages in store mode, so the byte ratio grows with Replicas.
@@ -376,6 +391,9 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	}
 	if run.PackHost == "" {
 		return nil, 0, 0, fmt.Errorf("rollout did not pack all %d replicas on one host: %v", cfg.Replicas, per)
+	}
+	if _, err := stepUntil("image load", 2*execStorm, 0, func() bool { return imagesLoaded(c, a14Path) }); err != nil {
+		return nil, 0, 0, err
 	}
 
 	// Settle: the guardians take their first full checkpoints — each one

@@ -60,7 +60,6 @@ type A11Result struct {
 	Hosts     int `json:"hosts"`
 	Procs     int `json:"procs"`
 	GossipK   int `json:"gossip_fanout"`
-	Piggyback int `json:"piggyback"`
 	Intervals int `json:"intervals"`
 
 	// Perf trajectory.
@@ -176,7 +175,7 @@ func A11Scale(cfg A11Config) (*A11Result, error) {
 
 	res := &A11Result{
 		Hosts: N, Procs: cfg.Procs, Intervals: cfg.Intervals,
-		GossipK: nodes[0].Fanout(), Piggyback: nodes[0].Piggyback(),
+		GossipK: nodes[0].Fanout(),
 	}
 
 	// Churners: a fixed pool of migration drivers. Each picks a loaded

@@ -279,6 +279,16 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 	if run.PackHost == "" {
 		return nil, 0, 0, fmt.Errorf("rollout did not pack all %d replicas on one host: %v", cfg.Replicas, per)
 	}
+	// No client may arrive before its server has started: wait out the
+	// image loads, then the ~1.5 µs/B LCG fills, which share the packed
+	// host's CPU round-robin and so all end together.
+	if _, err := stepUntil("image load", 2*execStorm, func() bool { return imagesLoaded(c, a15Path) }); err != nil {
+		return nil, 0, 0, err
+	}
+	fill := sim.Duration(cfg.Replicas*cfg.DataKiB) * 2 * sim.Millisecond
+	if err := c.RunUntil(c.Eng.Now() + sim.Time(fill)); err != nil {
+		return nil, 0, 0, err
+	}
 
 	// Phase 2: aim one synthetic client at each replica. The lineage
 	// tracker follows a replica across migrations (globally unique pids),

@@ -23,11 +23,12 @@ import (
 // The buddy keeps one image assembler per protection and takes a
 // copy-on-write snapshot of it at every commit, so a commit costs the
 // delta rather than the whole image; the three dump files are built from
-// the newest snapshot only on recovery. When the source goes silent — no
-// heartbeat and no checkpoint for SuspectAfter — the buddy arbitrates
-// over an independent channel (the migd transaction port, via the
-// injected Arbitrate probe) and restarts the newest committed checkpoint
-// only when the source is confirmed dead. A partitioned-but-alive source
+// the newest snapshot only on recovery. When the source is no longer
+// alive in the buddy's membership view and has committed no checkpoint
+// for SuspectAfter, the buddy arbitrates over an independent channel
+// (the migd transaction port, via the injected Arbitrate probe) and
+// restarts the newest committed checkpoint only when the source is
+// confirmed dead. A partitioned-but-alive source
 // is counted as a false suspicion and left alone, preserving the
 // exactly-one-live-copy invariant.
 
@@ -222,6 +223,9 @@ func (g *Guard) checkpointLoop(t *sim.Task) {
 func (g *Guard) checkpoint(t *sim.Task, pr *protection) bool {
 	m := g.n.m
 	p, ok := m.FindProc(pr.pid)
+	if ok && p.Spawning {
+		return true // its image is still loading: nothing to checkpoint yet
+	}
 	if !ok || p.State != kernel.ProcRunning || p.VM == nil {
 		// Ended voluntarily (exited, was killed, or migrated away): the
 		// buddy must forget the checkpoints rather than resurrect it.

@@ -4,11 +4,14 @@
 // granted. Each host runs three cooperating daemons on top of netsim:
 //
 //   - hbd beacons liveness plus a digest of the local run queue. In small
-//     clusters every peer hears every beacon directly; at scale each
-//     interval beacons go to k ≈ ⌈log₂N⌉+2 peers chosen by a deterministic
-//     shuffle of the engine PRNG, with third-party member summaries
-//     piggybacked so news still reaches everyone in O(log N / log k)
-//     intervals — O(N·k) messages per interval instead of O(N²).
+//     clusters every peer hears every beacon directly, and a peer silent
+//     for SuspectAfter is suspected. At scale each interval's beacons go
+//     to k ≈ ⌈log₂N⌉+2 peers chosen by a deterministic shuffle of the
+//     engine PRNG — O(N·k) messages per interval instead of O(N²). Each
+//     beacon doubles as a probe: a failed one suspects the peer. Beacons
+//     piggyback up to k summaries of news (joins, suspicions, refutations,
+//     rebirths), which reaches everyone in O(log N / log k) intervals;
+//     there is no timeout in this mode.
 //   - guardd (source role) takes periodic incremental checkpoints of
 //     processes registered for protection — the PR 1 dirty-page stream
 //     format reused as delta checkpoints — and spools them to a buddy
@@ -26,7 +29,6 @@ package ha
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
@@ -291,10 +293,8 @@ func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.T
 // defaults.
 type Config struct {
 	Interval     sim.Duration // beacon period (default 1s)
-	SuspectAfter sim.Duration // beacon silence before suspicion (default 3×Interval)
+	SuspectAfter sim.Duration // full-mesh beacon silence before suspicion (default 3×Interval)
 	CkptInterval sim.Duration // delta-checkpoint period (default 5s)
-	Fanout       int          // beacons per interval (default ⌈log₂N⌉+2, capped at N-1)
-	Piggyback    int          // member summaries per beacon (default 2×Fanout)
 	Incarnation  uint32       // this boot's incarnation (0 first boot; bump on revival)
 }
 
@@ -317,8 +317,9 @@ func (c Config) withDefaults() Config {
 type StatSource interface {
 	HostName() string
 	RunQueueLen() int
-	// AppendProcStats appends the migratable run-queue entries to dst and
-	// returns it (scratch-friendly: dst is reused across intervals).
+	// AppendProcStats appends the migratable run-queue entries — VM
+	// processes, and spawned ones whose image is still loading — to dst
+	// and returns it (scratch-friendly: dst is reused across intervals).
 	AppendProcStats(now sim.Time, dst []ProcStat) []ProcStat
 }
 
@@ -329,7 +330,7 @@ func (s machineSource) HostName() string { return s.m.Name }
 func (s machineSource) RunQueueLen() int { return s.m.Load() }
 func (s machineSource) AppendProcStats(now sim.Time, dst []ProcStat) []ProcStat {
 	for _, p := range s.m.Procs() {
-		if p.State != kernel.ProcRunning || p.VM == nil {
+		if p.State != kernel.ProcRunning || (p.VM == nil && !p.Spawning) {
 			continue
 		}
 		oldPID := 0
@@ -356,10 +357,8 @@ type Node struct {
 	members *Membership
 	Guard   *Guard
 
-	peers      []string
-	fanout     int          // effective beacons per interval
-	piggyback  int          // effective summaries per beacon
-	effSuspect sim.Duration // suspicion timeout incl. gossip spread margin
+	peers  []string
+	fanout int // beacons per interval, and news summaries per beacon
 
 	// hot-path scratch: the engine serializes actors, so one of each per
 	// node suffices.
@@ -408,9 +407,8 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 	cfg = cfg.withDefaults()
 	n := &Node{
 		src: src, host: host, eng: eng, cfg: cfg,
-		members:    NewMembership(src.HostName(), cfg.SuspectAfter),
-		effSuspect: cfg.SuspectAfter,
-		inc:        cfg.Incarnation,
+		members: NewMembership(src.HostName(), cfg.SuspectAfter),
+		inc:     cfg.Incarnation,
 	}
 	if scope != nil {
 		n.cBeaconsOut = scope.Counter("hb.beacons_out")
@@ -450,44 +448,17 @@ func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 	return hbAck // delivery ack; losing it costs only the sender
 }
 
-// SetPeers tells the node who else is in the cluster. With at most
-// Fanout peers every beacon goes to everyone (and gossip adds nothing);
-// above that, each interval beacons go to a PRNG-chosen Fanout-subset and
-// the suspicion timeout stretches by the expected gossip spread time.
+// SetPeers tells the node who else is in the cluster. The fanout is
+// ⌈log₂N⌉+2, capped at the peer count. When it covers every peer, every
+// beacon goes to everyone and silence past SuspectAfter suspects; above
+// that, each interval's beacons go to a PRNG-chosen fanout-subset, carry
+// news, and only failed probes and suspicion news end a member's liveness.
 func (n *Node) SetPeers(peers []string) {
 	n.peers = append(n.peers[:0], peers...)
-	n.fanout = n.cfg.Fanout
-	if n.fanout <= 0 {
-		n.fanout = ceilLog2(len(peers)+1) + 2
-	}
-	if n.fanout > len(peers) {
-		n.fanout = len(peers)
-	}
-	n.piggyback = n.cfg.Piggyback
-	if n.piggyback <= 0 {
-		n.piggyback = 2 * n.fanout
-	}
-	n.effSuspect = n.cfg.SuspectAfter
+	n.fanout = min(ceilLog2(len(peers)+1)+2, len(peers))
 	if n.fanout < len(n.peers) {
-		// A member's liveness reaches an observer two ways: epidemically
-		// (fresh news re-broadcast with budget, ~log_k(N) intervals) and
-		// via the rotation half of the piggyback, which mentions it to
-		// k·(p/2) random observers per interval cluster-wide. Stretch the
-		// suspicion timeout so that, at rate c = k·p/2 / N refreshes per
-		// interval, the chance that any of the N² observer/member pairs
-		// goes unrefreshed for the whole window is negligible:
-		// m ≈ ln(1000·N²)/c intervals.
-		nn := len(peers) + 1
-		spread := ceilLogK(nn, n.fanout)
-		c := float64(n.fanout) * float64(n.piggyback/2) / float64(nn)
-		margin := 2
-		if c < 1 {
-			margin = int(math.Ceil(math.Log(1000*float64(nn)*float64(nn)) / c))
-		}
-		n.effSuspect += sim.Duration(spread+margin) * n.cfg.Interval
+		n.members.SetGossipParams(n.cfg.Interval/2, n.fanout)
 	}
-	n.members.SetSuspectAfter(n.effSuspect)
-	n.members.SetGossipParams(n.cfg.Interval/2, int(hashName(n.src.HostName())%1_000_003), n.fanout)
 	n.pick = n.pick[:0]
 	for i := range n.peers {
 		n.pick = append(n.pick, i)
@@ -500,15 +471,14 @@ func (n *Node) Members() *Membership { return n.members }
 // Config returns the node's effective configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Fanout reports how many peers each beacon interval reaches.
+// Fanout reports how many peers each beacon interval reaches; in gossip
+// mode it is also the most news summaries one beacon carries.
 func (n *Node) Fanout() int { return n.fanout }
 
-// Piggyback returns the per-beacon summary budget chosen by SetPeers.
-func (n *Node) Piggyback() int { return n.piggyback }
-
-// SuspectAfter reports the effective suspicion timeout: the configured
-// one, stretched by the gossip spread margin when fanout < cluster size.
-func (n *Node) SuspectAfter() sim.Duration { return n.effSuspect }
+// SuspectAfter reports the configured beacon-silence window. A full mesh
+// suspects on it; the guardian also counts a checkpoint commit this
+// recent as proof of life.
+func (n *Node) SuspectAfter() sim.Duration { return n.cfg.SuspectAfter }
 
 // Incarnation reports which boot of the host this node represents.
 func (n *Node) Incarnation() uint32 { return n.inc }
@@ -550,7 +520,7 @@ func (n *Node) beacon(now sim.Time) *Heartbeat {
 	hb.Procs = n.src.AppendProcStats(now, hb.Procs[:0])
 	hb.Summaries = hb.Summaries[:0]
 	if n.fanout < len(n.peers) {
-		hb.Summaries = n.members.appendGossip(hb.Summaries, n.piggyback, now)
+		hb.Summaries = n.members.appendGossip(hb.Summaries, n.fanout, now)
 	}
 	return hb
 }
@@ -571,8 +541,9 @@ func (n *Node) choosePeers() []int {
 	return n.pick[:n.fanout]
 }
 
-// beaconLoop is hbd: every Interval, beacon to this interval's peers. Lost
-// beacons are simply lost — the receiver's timeout does the detecting. A
+// beaconLoop is hbd: every Interval, beacon to this interval's peers. In
+// a full mesh lost beacons are simply lost — the receiver's timeout does
+// the detecting; in gossip mode a failed beacon is a failed probe. A
 // beacon to a dead host costs the sender the network timeout, exactly as
 // a real datagram-and-ack heartbeat would.
 func (n *Node) beaconLoop(t *sim.Task) {
@@ -689,20 +660,6 @@ func ceilLog2(n int) int {
 		k++
 	}
 	return k
-}
-
-// ceilLogK returns ⌈log_k n⌉ (1 for k < 2, matching "everything in one
-// hop" only when the caller knows better; callers pass k ≥ 2).
-func ceilLogK(n, k int) int {
-	if k < 2 {
-		return 1
-	}
-	s, p := 0, 1
-	for p < n {
-		p *= k
-		s++
-	}
-	return s
 }
 
 // hashName is a tiny FNV-1a over the host name, for deterministic phase

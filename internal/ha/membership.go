@@ -9,28 +9,29 @@ import (
 
 // Membership is one host's view of the cluster, built from received
 // heartbeats and from member summaries piggybacked on them (gossip).
-// Failure detection is timeout-based suspicion: a member that has been
-// silent longer than SuspectAfter is not Alive. The view is eventually
-// consistent and can be wrong both ways — a suspect may be merely
-// partitioned (the guardian arbitrates before acting) and a fresh member
-// may have just crashed.
+// Failure detection has one mechanism per mode. In a full mesh every
+// member beacons every observer, so a member silent longer than the
+// suspicion timeout is not Alive. In gossip mode (SetGossipParams) there
+// is no timeout: a member stops being Alive only when a probe of it fails
+// — a beacon or sync call came back dead — or when suspicion news of it
+// arrives, as in SWIM. The view is eventually consistent and can be
+// wrong both ways — a suspect may be merely partitioned (the guardian
+// arbitrates before acting) and a fresh member may have just crashed.
 //
 // The table is built for 1,000-host clusters: states are updated in place
 // (no per-beacon allocation once a member is known), reads go through
-// ViewInto/Get without copying proc lists anew each call, and a news
-// queue plus rotation cursor select which members to gossip about in O(k).
+// ViewInto/Get without copying proc lists anew each call, and news queues
+// select which members to gossip about in O(k).
 type Membership struct {
 	self         string
-	suspectAfter sim.Duration
+	suspectAfter sim.Duration // full-mesh silence that ends liveness
+	gossip       bool         // no timeout: only suspicion ends liveness
 	members      map[string]*memberState
-	byName       []*memberState // sorted by host name; also the rotation order
-	cursor       int            // rotation position in byName for gossip coverage
-	cursorSeed   int            // per-host rotation offset (desynchronizes laps)
-	cursorInit   bool
-	freshGrant   sim.Duration // liveness advance that counts as fresh news
-	budget       int          // per-item retransmission budget (0 = default)
-	gen          uint64       // bumped on every state change
-	mark         uint64       // appendGossip call stamp, for O(1) dedupe
+	byName       []*memberState // sorted by host name
+	freshGrant   sim.Duration   // liveness advance that counts as fresh news
+	budget       int            // per-item retransmission budget (0 = default)
+	gen          uint64         // bumped on every state change
+	mark         uint64         // appendGossip call stamp, for O(1) dedupe
 	// Two FIFOs of members with unspent retransmission budget. Explicit
 	// queues — not a recency scan — are what make dissemination survive
 	// scale: a node digests hundreds of summaries per interval, so any
@@ -41,7 +42,7 @@ type Membership struct {
 	// magnitude: qUrgent carries alive-state transitions (suspicions,
 	// refutations — rare, and every interval of delay costs detection
 	// latency), qJoin carries roster news (N items at bootstrap, drained
-	// at k·p/2 slots per interval, so it can lag for many intervals).
+	// at k slots per interval, so it can lag for many intervals).
 	// Draining urgent first keeps a crash wave epidemic even while the
 	// join backlog is still paying out.
 	qs [2]newsQueue
@@ -85,12 +86,13 @@ type memberState struct {
 	markGen   uint64   // last appendGossip call that included this member
 	// gossipLeft is the remaining retransmission budget for this member's
 	// latest news: granted on state changes — a join, a suspicion, a
-	// refutation — and spent once per beacon the member is summarized in.
-	// Budgeted retransmission is what makes dissemination an epidemic
-	// (each hop re-broadcasts to Fanout peers) rather than a subcritical
-	// recency race. Routine liveness advances deliberately earn no budget:
-	// they flow on the rotation channel, and budgeting them would keep all
-	// N members contending for the bounded fresh-news scan window.
+	// refutation, a rebirth — and spent once per beacon the member is
+	// summarized in. Budgeted retransmission is what makes dissemination
+	// an epidemic (each hop re-broadcasts to fanout peers) rather than a
+	// subcritical recency race. Routine liveness advances deliberately earn
+	// no budget: with no timeout there is nothing for them to keep alive,
+	// and budgeting them would keep all N members contending for the
+	// piggyback slots that state changes need.
 	gossipLeft int
 	inQueue    [2]bool // sitting in qs[qUrgent] / qs[qJoin]
 }
@@ -138,25 +140,16 @@ func NewMembership(self string, suspectAfter sim.Duration) *Membership {
 	return ms
 }
 
-// SetSuspectAfter adjusts the suspicion timeout (the node layer scales it
-// for gossip spread when fanout < cluster size).
-func (ms *Membership) SetSuspectAfter(d sim.Duration) { ms.suspectAfter = d }
-
-// SetGossipParams tunes dissemination: fresh is the liveness advance that
-// counts as news worth re-broadcasting (typically half the beacon
-// interval), and seed staggers this host's rotation cursor so the
-// cluster's coverage laps interleave instead of marching in lockstep.
-func (ms *Membership) SetGossipParams(fresh sim.Duration, seed, budget int) {
+// SetGossipParams puts the table in gossip mode, where liveness no longer
+// times out, and tunes dissemination: fresh is the liveness advance that
+// counts as a change readers should see (typically half the beacon
+// interval), and budget is how many beacons re-broadcast one piece of
+// news.
+func (ms *Membership) SetGossipParams(fresh sim.Duration, budget int) {
+	ms.gossip = true
 	ms.budget = budget
 	ms.freshGrant = fresh
-	if seed < 0 {
-		seed = -seed
-	}
-	ms.cursorSeed = seed
 }
-
-// SuspectAfter reports the effective suspicion timeout.
-func (ms *Membership) SuspectAfter() sim.Duration { return ms.suspectAfter }
 
 // Gen reports the table's generation, bumped on every state change.
 // Readers can skip rebuilding derived state while it is unchanged.
@@ -175,9 +168,6 @@ func (ms *Membership) state(host string) *memberState {
 		ms.byName = append(ms.byName, nil)
 		copy(ms.byName[i+1:], ms.byName[i:])
 		ms.byName[i] = st
-		if i < ms.cursor {
-			ms.cursor++
-		}
 	}
 	return st
 }
@@ -197,14 +187,14 @@ func (ms *Membership) grant(which int, st *memberState) {
 	}
 }
 
-// drain moves up to half the piggyback capacity from one news queue into
-// dst. An item still holding budget after inclusion rotates to the tail,
+// drain moves news from one queue into dst until dst holds p summaries
+// past base. An item still holding budget after inclusion rotates to the tail,
 // so concurrent pieces of news share the slots fairly; a spent item is
 // dropped. Hitting an item already included in this very appendGossip
 // call means the queue has wrapped — stop rather than duplicate.
 func (ms *Membership) drain(which int, dst []MemberSummary, base, p int, now sim.Time) []MemberSummary {
 	nq := &ms.qs[which]
-	for len(dst)-base < p/2 && nq.head < len(nq.q) {
+	for len(dst)-base < p && nq.head < len(nq.q) {
 		st := nq.q[nq.head]
 		if st.markGen == ms.mark {
 			break
@@ -377,10 +367,10 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		// ones are recorded silently so the ~k·p summaries per interval
 		// don't each invalidate readers' cached views over news that
 		// changes nothing an observer can see. Note no retransmission
-		// budget: routine liveness circulates on the rotation channel,
-		// and budgeting it would keep all N members perpetually competing
-		// for the piggyback slots that genuine state changes (joins,
-		// suspicions, refutations) need.
+		// budget: routine liveness is not news (nothing times out in
+		// gossip mode), and budgeting it would keep all N members
+		// perpetually competing for the piggyback slots that genuine
+		// state changes (joins, suspicions, refutations) need.
 		if !known || sim.Duration(heard-st.lastHeard) >= ms.fresh() {
 			if !known {
 				ms.grant(qJoin, st)
@@ -396,38 +386,18 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 	}
 }
 
-// appendGossip appends up to p member summaries to dst: up to half the
-// piggyback is budgeted news (urgent alive-state transitions first, then
-// roster news), the rest drawn round-robin by a rotation cursor so every
-// member's liveness keeps circulating even when quiet. Self is skipped —
-// the enclosing beacon already carries it.
+// appendGossip appends up to p summaries of budgeted news to dst: urgent
+// alive-state transitions (suspicions, refutations, rebirths) first, then
+// joins. A quiet cluster piggybacks nothing. Self is skipped — the
+// enclosing beacon already carries it.
 func (ms *Membership) appendGossip(dst []MemberSummary, p int, now sim.Time) []MemberSummary {
-	if p <= 0 || len(ms.byName) == 0 {
+	if p <= 0 {
 		return dst
 	}
 	ms.mark++
 	base := len(dst)
 	dst = ms.drain(qUrgent, dst, base, p, now)
-	dst = ms.drain(qJoin, dst, base, p, now)
-	// Rotation fills the rest: deterministic full coverage so even quiet
-	// members' liveness keeps circulating. Scan at most one full lap.
-	if !ms.cursorInit {
-		ms.cursorInit = true
-		ms.cursor = ms.cursorSeed % len(ms.byName)
-	}
-	for scanned := 0; len(dst)-base < p && scanned < len(ms.byName); scanned++ {
-		st := ms.byName[ms.cursor]
-		ms.cursor++
-		if ms.cursor >= len(ms.byName) {
-			ms.cursor = 0
-		}
-		if st.host == ms.self || st.markGen == ms.mark {
-			continue
-		}
-		st.markGen = ms.mark
-		dst = append(dst, ms.summarize(st, now))
-	}
-	return dst
+	return ms.drain(qJoin, dst, base, p, now)
 }
 
 func (ms *Membership) fresh() sim.Duration {
@@ -498,11 +468,16 @@ func (ms *Membership) summarize(st *memberState, now sim.Time) MemberSummary {
 	return MemberSummary{Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Age: age, Suspect: st.suspected}
 }
 
-// Alive reports whether the named member has beaconed recently enough.
+// Alive reports whether the named member is up in this view: not
+// suspected and, in a full mesh, heard from within the suspicion timeout.
 // Hosts never heard from are not alive.
 func (ms *Membership) Alive(host string, now sim.Time) bool {
 	st, ok := ms.members[host]
-	return ok && !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter
+	return ok && ms.alive(st, now)
+}
+
+func (ms *Membership) alive(st *memberState, now sim.Time) bool {
+	return !st.suspected && (ms.gossip || sim.Duration(now-st.lastHeard) <= ms.suspectAfter)
 }
 
 // LastHeard returns when the named member last beaconed (0, false if
@@ -528,7 +503,7 @@ func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 		Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
 		CensusAt:  st.censusAt,
 		LastHeard: st.lastHeard,
-		Alive:     !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter,
+		Alive:     ms.alive(st, now),
 		Suspected: st.suspected,
 	}, true
 }
@@ -558,7 +533,7 @@ func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 			Procs:     procs[start:len(procs):len(procs)],
 			CensusAt:  st.censusAt,
 			LastHeard: st.lastHeard,
-			Alive:     !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter,
+			Alive:     ms.alive(st, now),
 			Suspected: st.suspected,
 		})
 	}

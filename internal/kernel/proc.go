@@ -64,6 +64,11 @@ type Proc struct {
 	// VM is the machine-code image for VM processes; nil for hosted
 	// programs (which run Go code against the syscall interface).
 	VM *vm.CPU
+	// Spawning is set from Spawn until the spawned image is installed.
+	// An exec loads the whole image from disk first, which can take
+	// seconds; a host census taken meanwhile must still list the process,
+	// or a reader judging it by the census convicts it as gone.
+	Spawning bool
 	// ExecEntry remembers the executable's entry point (recorded in core
 	// dumps so undump can rebuild a runnable executable).
 	ExecEntry uint32
@@ -207,12 +212,15 @@ func (m *Machine) Spawn(spec SpawnSpec) (*Proc, error) {
 		}
 	}
 	p.Cmd = spec.Path
+	p.StartedAt = m.eng.Now()
+	p.Spawning = true
 	m.eng.Go(fmt.Sprintf("%s:pid%d:%s", m.Name, p.PID, spec.Path), func(t *sim.Task) {
 		p.task = t
-		p.StartedAt = t.Now()
 		p.run(func() {
 			p.sysCPU(m.Costs.SpawnBase)
-			if e := p.execve(spec.Path, spec.Args, spec.Env); e != 0 {
+			e := p.execve(spec.Path, spec.Args, spec.Env)
+			p.Spawning = false
+			if e != 0 {
 				p.die(126, 0) // exec failed
 			}
 			p.runImage()

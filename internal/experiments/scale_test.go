@@ -2,11 +2,11 @@ package experiments
 
 import "testing"
 
-// TestA11Smoke runs the scale scenario at CI-smoke size: enough hosts to
-// be firmly in gossip mode (fanout ≪ N), small enough to finish in well
-// under a second. Every A11 invariant — convergence, sub-quadratic
-// traffic, wave detection and recovery, proc conservation — is asserted
-// inside A11Scale itself.
+// TestA11Smoke runs the scale scenario at CI-smoke size: enough hosts
+// that each beacon round reaches only a few peers (fanout ≪ N), small
+// enough to finish in well under a second. Every A11 invariant —
+// convergence, sub-quadratic traffic, wave detection and recovery, proc
+// conservation — is asserted inside A11Scale itself.
 func TestA11Smoke(t *testing.T) {
 	r, err := A11Scale(A11Config{Hosts: 60, Procs: 600, Intervals: 24, Seed: 5})
 	if err != nil {

@@ -132,154 +132,123 @@ func TestGossipConvergence(t *testing.T) {
 // alive→suspect exactly once at an observer — stale summaries circulating
 // through the cluster must never resurrect it (no flapping) — and the
 // transition comes from probes, within a few intervals of the partition.
+// At n=4 the fanout covers every peer, so the observer probes the victim
+// itself every interval.
 func TestGossipSuspectedExactlyOnce(t *testing.T) {
-	const n = 100
-	gc := bootGossip(t, n, 7)
-	defer gc.stop()
-	gc.runIntervals(t, 12) // converge first
-	now := gc.eng.Now()
-	if got := gc.converged(now); got != n {
-		t.Fatalf("pre-partition: only %d/%d converged", got, n)
+	for _, n := range []int{4, 100} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			gc := bootGossip(t, n, 7)
+			defer gc.stop()
+			gc.runIntervals(t, 12) // converge first
+			now := gc.eng.Now()
+			if got := gc.converged(now); got != n {
+				t.Fatalf("pre-partition: only %d/%d converged", got, n)
+			}
+
+			victim := gc.names[n/2]
+			gc.hosts[n/2].SetDown(true)
+			downAt := gc.eng.Now()
+
+			// Sample the observer's verdict 4× per interval for 40 intervals.
+			observer := gc.nodes[0].Members()
+			transitions := 0
+			var suspectedAt sim.Time
+			prev := true
+			done := make(chan struct{})
+			gc.eng.Go("monitor", func(task *sim.Task) {
+				defer close(done)
+				for i := 0; i < 40*4; i++ {
+					task.Sleep(sim.Second / 4)
+					alive := observer.Alive(victim, task.Now())
+					if alive != prev {
+						transitions++
+						prev = alive
+						if !alive {
+							suspectedAt = task.Now()
+						}
+					}
+				}
+			})
+			gc.runIntervals(t, 41)
+			<-done
+			if transitions != 1 {
+				t.Fatalf("victim flapped: %d alive-state transitions, want exactly 1", transitions)
+			}
+			if observer.Alive(victim, gc.eng.Now()) {
+				t.Fatalf("victim still alive at observer after 40 intervals of silence")
+			}
+			// Some peer probes the victim within an interval or two (k of N
+			// beacons per interval are aimed at it), the failed call costs one
+			// network timeout, and urgent news reaches everyone in ~log_k N
+			// intervals. There is no timeout to wait for.
+			if lag := sim.Duration(suspectedAt - downAt); lag > 6*sim.Second {
+				t.Fatalf("suspicion took %v after the partition, want ≤ 6 intervals", lag)
+			}
+		})
 	}
+}
 
-	victim := gc.names[n/2]
-	gc.hosts[n/2].SetDown(true)
-	downAt := gc.eng.Now()
-
-	// Sample the observer's verdict 4× per interval for 40 intervals.
-	observer := gc.nodes[0].Members()
-	transitions := 0
-	var suspectedAt sim.Time
-	prev := true
-	done := make(chan struct{})
-	gc.eng.Go("monitor", func(task *sim.Task) {
-		defer close(done)
-		for i := 0; i < 40*4; i++ {
-			task.Sleep(sim.Second / 4)
-			alive := observer.Alive(victim, task.Now())
-			if alive != prev {
-				transitions++
-				prev = alive
-				if !alive {
-					suspectedAt = task.Now()
+// TestGossipSilenceAloneNeverSuspects: only a failed probe or suspicion
+// news ends a member's liveness, never silence, at every cluster size (at
+// n=4 the fanout covers every peer). Every beacon from one live member to
+// one observer is dropped, and the observer never beacons to the member.
+// Its own beacons would probe through the same faulted link (the member's
+// acks travel member→observer on HBPort) and fail, which is a real probe
+// failure. The member's state never changes, so no news about it reaches
+// the observer either. It must stay Alive there for the whole window,
+// though the observer last heard of it more than nine intervals ago.
+func TestGossipSilenceAloneNeverSuspects(t *testing.T) {
+	for _, n := range []int{4, 20} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			gc := bootGossip(t, n, 5)
+			defer gc.stop()
+			// Settle past the bootstrap join backlog: a join summary carries
+			// the member's current liveness, and one beacon per interval pays
+			// out k of a node's ~N·k queued join retransmissions, so joins
+			// keep refreshing liveness for ~N intervals.
+			gc.runIntervals(t, 40)
+			if got := gc.converged(gc.eng.Now()); got != n {
+				t.Fatalf("pre-fault: only %d/%d converged", got, n)
+			}
+			mi, oi := n/2, 0
+			member := gc.names[mi]
+			gc.net.FaultLinkPort(member, gc.names[oi], ha.HBPort, netsim.FaultSpec{Drop: 1})
+			var peers []string
+			for j, name := range gc.names {
+				if j != mi && j != oi {
+					peers = append(peers, name)
 				}
 			}
-		}
-	})
-	gc.runIntervals(t, 41)
-	<-done
-	if transitions != 1 {
-		t.Fatalf("victim flapped: %d alive-state transitions, want exactly 1", transitions)
-	}
-	if observer.Alive(victim, gc.eng.Now()) {
-		t.Fatalf("victim still alive at observer after 40 intervals of silence")
-	}
-	// Some peer probes the victim within an interval or two (k of N
-	// beacons per interval are aimed at it), the failed call costs one
-	// network timeout, and urgent news reaches everyone in ~log_k N
-	// intervals. Gossip mode has no timeout to wait for.
-	if lag := sim.Duration(suspectedAt - downAt); lag > 6*sim.Second {
-		t.Fatalf("suspicion took %v after the partition, want ≤ 6 intervals", lag)
-	}
-}
+			gc.nodes[oi].SetPeers(peers)
 
-// TestGossipSilenceAloneNeverSuspects: in gossip mode only a failed probe
-// or suspicion news ends a member's liveness, never silence. Every beacon
-// from one live member to one observer is dropped, and the observer never
-// beacons to the member. Its own beacons would probe through the same
-// faulted link (the member's acks travel member→observer on HBPort) and
-// fail, which is a real probe failure. The member's state never changes,
-// so no news about it reaches the observer either. It must stay Alive
-// there for the whole window, though the observer last heard of it far
-// longer ago than SuspectAfter.
-func TestGossipSilenceAloneNeverSuspects(t *testing.T) {
-	const n = 20
-	gc := bootGossip(t, n, 5)
-	defer gc.stop()
-	// Settle past the bootstrap join backlog: a join summary carries the
-	// member's current liveness, and one beacon per interval pays out k
-	// of a node's ~N·k queued join retransmissions, so joins keep
-	// refreshing liveness for ~N intervals.
-	gc.runIntervals(t, 40)
-	if got := gc.converged(gc.eng.Now()); got != n {
-		t.Fatalf("pre-fault: only %d/%d converged", got, n)
-	}
-	const mi, oi = n / 2, 0
-	member := gc.names[mi]
-	gc.net.FaultLinkPort(member, gc.names[oi], ha.HBPort, netsim.FaultSpec{Drop: 1})
-	var peers []string
-	for j, name := range gc.names {
-		if j != mi && j != oi {
-			peers = append(peers, name)
-		}
-	}
-	gc.nodes[oi].SetPeers(peers)
-
-	observer := gc.nodes[oi].Members()
-	suspectedSamples := 0
-	done := make(chan struct{})
-	gc.eng.Go("monitor", func(task *sim.Task) {
-		defer close(done)
-		for i := 0; i < 30*4; i++ {
-			task.Sleep(sim.Second / 4)
-			if !observer.Alive(member, task.Now()) {
-				suspectedSamples++
+			observer := gc.nodes[oi].Members()
+			suspectedSamples := 0
+			done := make(chan struct{})
+			gc.eng.Go("monitor", func(task *sim.Task) {
+				defer close(done)
+				for i := 0; i < 30*4; i++ {
+					task.Sleep(sim.Second / 4)
+					if !observer.Alive(member, task.Now()) {
+						suspectedSamples++
+					}
+				}
+			})
+			gc.runIntervals(t, 31)
+			<-done
+			if suspectedSamples > 0 {
+				t.Fatalf("live member not Alive at the observer in %d of %d samples", suspectedSamples, 30*4)
 			}
-		}
-	})
-	gc.runIntervals(t, 31)
-	<-done
-	if suspectedSamples > 0 {
-		t.Fatalf("live member not Alive at the observer in %d of %d samples", suspectedSamples, 30*4)
-	}
-	now := gc.eng.Now()
-	heard, _ := observer.LastHeard(member)
-	if silent := sim.Duration(now - heard); silent <= 3*gc.nodes[oi].SuspectAfter() {
-		t.Fatalf("observer heard of the member %v ago: liveness still flows without news, so the window never tested silence", silent)
-	}
-	for i, node := range gc.nodes {
-		if i != oi && !node.Members().Alive(member, now) {
-			t.Fatalf("%s lost the member though its beacons to it were never dropped", gc.names[i])
-		}
-	}
-}
-
-// TestFullMeshSuspectsOnSilence: a cluster small enough that the fanout
-// covers every peer keeps pure timeout suspicion. With every beacon from
-// one member to one observer dropped, the observer suspects it once
-// SuspectAfter has passed, while every other host still sees it alive.
-func TestFullMeshSuspectsOnSilence(t *testing.T) {
-	const n = 4
-	gc := bootGossip(t, n, 5)
-	defer gc.stop()
-	if k := gc.nodes[0].Fanout(); k != n-1 {
-		t.Fatalf("fanout %d at n=%d, want full mesh", k, n)
-	}
-	gc.runIntervals(t, 3)
-	const mi, oi = 2, 0
-	member := gc.names[mi]
-	gc.net.FaultLinkPort(member, gc.names[oi], ha.HBPort, netsim.FaultSpec{Drop: 1})
-	observer := gc.nodes[oi].Members()
-	heard, _ := observer.LastHeard(member)
-	limit := heard + sim.Time(gc.nodes[oi].SuspectAfter())
-	if err := gc.eng.RunUntil(limit); err != nil {
-		t.Fatal(err)
-	}
-	if !observer.Alive(member, gc.eng.Now()) {
-		t.Fatal("member suspected before SuspectAfter of silence")
-	}
-	gc.runIntervals(t, 1)
-	now := gc.eng.Now()
-	if observer.Alive(member, now) {
-		t.Fatal("full-mesh observer still sees a member silent past SuspectAfter")
-	}
-	if m, _ := observer.Get(member, now); m.Suspected {
-		t.Fatal("full mesh suspected by probe; only the timeout should act")
-	}
-	for i, node := range gc.nodes {
-		if i != oi && i != mi && !node.Members().Alive(member, now) {
-			t.Fatalf("%s lost the member though its beacons to it were never dropped", gc.names[i])
-		}
+			now := gc.eng.Now()
+			heard, _ := observer.LastHeard(member)
+			if silent := sim.Duration(now - heard); silent <= 9*sim.Second {
+				t.Fatalf("observer heard of the member %v ago: liveness still flows without news, so the window never tested silence", silent)
+			}
+			for i, node := range gc.nodes {
+				if i != oi && !node.Members().Alive(member, now) {
+					t.Fatalf("%s lost the member though its beacons to it were never dropped", gc.names[i])
+				}
+			}
+		})
 	}
 }
 

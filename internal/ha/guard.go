@@ -25,12 +25,19 @@ import (
 // delta rather than the whole image; the three dump files are built from
 // the newest snapshot only on recovery. When the source is no longer
 // alive in the buddy's membership view and has committed no checkpoint
-// for SuspectAfter, the buddy arbitrates over an independent channel
-// (the migd transaction port, via the injected Arbitrate probe) and
-// restarts the newest committed checkpoint only when the source is
-// confirmed dead. A partitioned-but-alive source
-// is counted as a false suspicion and left alone, preserving the
+// for freshCommitIntervals beacon intervals, the buddy arbitrates over an
+// independent channel (the migd transaction port, via the injected
+// Arbitrate probe) and restarts the newest committed checkpoint only when
+// the source is confirmed dead. A partitioned-but-alive source is counted
+// as a false suspicion and left alone, preserving the
 // exactly-one-live-copy invariant.
+
+// freshCommitIntervals is how many beacon intervals a committed checkpoint
+// counts as proof of life. One lost probe suspects a source, so a buddy
+// that has just received an image from it has better evidence than the
+// suspicion and skips the arbitration until the commit is three beacon
+// rounds old.
+const freshCommitIntervals = 3
 
 // GuardHelloMagic continues the octal numbering (447 heartbeat, 450
 // guardian checkpoint hello).
@@ -456,7 +463,7 @@ func (g *Guard) consider(t *sim.Task, st *ckptState) {
 	now := t.Now()
 	// A fresh checkpoint commit is as good as a heartbeat: whoever
 	// streamed it was alive moments ago.
-	if sim.Duration(now-st.committedAt) <= g.n.SuspectAfter() {
+	if sim.Duration(now-st.committedAt) <= freshCommitIntervals*g.n.cfg.Interval {
 		return
 	}
 	if g.n.members.Alive(st.source, now) {
@@ -464,8 +471,9 @@ func (g *Guard) consider(t *sim.Task, st *ckptState) {
 	}
 	mobs := g.n.m.Obs
 	mobs.Counter("ha.suspicions").Inc()
-	// Suspected. Heartbeat silence may be a partition of the beacon path
-	// alone, so ask over the independent transaction port before acting.
+	// Suspected. One lost probe, or a partition of the beacon path alone,
+	// suspects a live host, so ask over the independent transaction port
+	// before acting.
 	mobs.Counter("ha.arbitrations").Inc()
 	if g.Arbitrate(t, st.source) {
 		g.FalseSuspicions++

@@ -49,7 +49,7 @@ func TestDecodeHeartbeatRejects(t *testing.T) {
 // --- membership ---------------------------------------------------------------
 
 func TestMembershipSuspicion(t *testing.T) {
-	ms := ha.NewMembership("beta", 3*sim.Second)
+	ms := ha.NewMembership("beta")
 	if ms.Alive("alpha", 0) {
 		t.Fatal("never-heard host reported alive")
 	}
@@ -57,23 +57,34 @@ func TestMembershipSuspicion(t *testing.T) {
 	if !ms.Alive("alpha", sim.Time(3*sim.Second)) {
 		t.Fatal("fresh host not alive")
 	}
-	if ms.Alive("alpha", sim.Time(5*sim.Second)) {
-		t.Fatal("silent host still alive past SuspectAfter")
+	// Nothing times out: only a failed probe or suspicion news ends
+	// liveness.
+	if !ms.Alive("alpha", sim.Time(51*sim.Second)) {
+		t.Fatal("50 s of silence alone ended liveness")
+	}
+	ms.Suspect("alpha", sim.Time(52*sim.Second))
+	if ms.Alive("alpha", sim.Time(52*sim.Second)) {
+		t.Fatal("suspected host still alive")
+	}
+	// A direct beacon is proof of life and refutes the suspicion.
+	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 2, Load: 2}, sim.Time(53*sim.Second))
+	if m, _ := ms.Get("alpha", sim.Time(53*sim.Second)); !m.Alive || m.Suspected {
+		t.Fatalf("direct beacon did not refute the suspicion: %+v", m)
 	}
 	// A late duplicate refreshes liveness but never rolls state back.
-	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 5, Load: 7}, sim.Time(6*sim.Second))
-	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 2, Load: 1}, sim.Time(7*sim.Second))
-	v := ms.View(sim.Time(7 * sim.Second))
+	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 5, Load: 7}, sim.Time(56*sim.Second))
+	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 2, Load: 1}, sim.Time(57*sim.Second))
+	v := ms.View(sim.Time(57 * sim.Second))
 	if len(v) != 1 || v[0].Seq != 5 || v[0].Load != 7 {
 		t.Fatalf("stale beacon rolled state back: %+v", v)
 	}
-	if !v[0].Alive {
-		t.Fatal("duplicate did not refresh liveness")
+	if !v[0].Alive || v[0].LastHeard != sim.Time(57*sim.Second) {
+		t.Fatalf("duplicate did not refresh liveness: %+v", v[0])
 	}
 }
 
 func TestMembershipViewSorted(t *testing.T) {
-	ms := ha.NewMembership("x", sim.Second)
+	ms := ha.NewMembership("x")
 	for _, h := range []string{"zeta", "alpha", "mid"} {
 		ms.Observe(&ha.Heartbeat{Host: h, Seq: 1}, 0)
 	}
@@ -197,63 +208,93 @@ func TestGuardianRecoversCrash(t *testing.T) {
 	}
 }
 
-// TestGuardianFalseSuspicion: alpha's outbound control-plane traffic is
-// partitioned away (heartbeats AND checkpoint spools) while alpha itself
+// TestGuardianFalseSuspicion: the beacon path fails while alpha itself
 // stays up. The buddy must suspect, arbitrate over the still-working
 // transaction port, find alpha alive, and never restart — the cluster
 // keeps exactly one live copy of the protected process.
+//
+//   - partition: alpha's outbound heartbeats AND checkpoint spools are cut.
+//   - lossy: in a 3-host full mesh every beacon link loses 30% of its
+//     messages both ways, so a single lost probe suspects a live source.
+//     Checkpoints are sparse so that fresh commits (proof of life) do not
+//     hide the suspicions.
 func TestGuardianFalseSuspicion(t *testing.T) {
-	c := bootHA(t, ha.Config{Interval: sim.Second, CkptInterval: 2 * sim.Second},
-		"alpha", "beta", "gamma")
-	var falseSusp, liveCopies int
-	var recs int
-	c.Eng.Go("driver", func(tk *sim.Task) {
-		defer killAll(c)
-		hog, err := c.Spawn("alpha", nil, cluster.DefaultUser, "/bin/hog")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		buddy := c.HA("beta").Guard
-		c.HA("alpha").Guard.Protect(hog.PID, "beta")
-		for buddy.CommittedSeq("alpha", hog.PID) < 1 && tk.Now() < sim.Time(30*sim.Second) {
-			tk.Sleep(250 * sim.Millisecond)
-		}
-		if buddy.CommittedSeq("alpha", hog.PID) == 0 {
-			t.Error("no checkpoint committed before the partition")
-			return
-		}
-		// The scalpel: only alpha's outbound beacons and spools die. The
-		// migd transaction port stays reachable in both directions.
-		drop := netsim.FaultSpec{Drop: 1.0}
-		for _, peer := range []string{"beta", "gamma"} {
-			c.Net.FaultLinkPort("alpha", peer, ha.HBPort, drop)
-			c.Net.FaultLinkPort("alpha", peer, ha.GuardSpoolPort, drop)
-		}
-		tk.Sleep(20 * sim.Second)
-		falseSusp = buddy.FalseSuspicions
-		recs = len(buddy.Recoveries)
-		c.Net.ClearFaults()
-		if hog.State == kernel.ProcRunning {
-			liveCopies++
-		}
-		for _, pi := range c.Machine("beta").PS() {
-			if p, ok := c.Machine("beta").FindProc(pi.PID); ok && p.Migrated && p.State == kernel.ProcRunning {
-				liveCopies++
+	for _, tc := range []struct {
+		name  string
+		ckpt  sim.Duration
+		seed  uint64
+		fault func(c *cluster.Cluster)
+		dwell sim.Duration
+	}{
+		{"partition", 2 * sim.Second, 0, func(c *cluster.Cluster) {
+			// The scalpel: only alpha's outbound beacons and spools die.
+			// The migd transaction port stays reachable in both directions.
+			drop := netsim.FaultSpec{Drop: 1.0}
+			for _, peer := range []string{"beta", "gamma"} {
+				c.Net.FaultLinkPort("alpha", peer, ha.HBPort, drop)
+				c.Net.FaultLinkPort("alpha", peer, ha.GuardSpoolPort, drop)
 			}
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if falseSusp == 0 {
-		t.Fatal("buddy never arbitrated a suspicion during the partition")
-	}
-	if recs != 0 {
-		t.Fatalf("buddy restarted %d copies of a live process", recs)
-	}
-	if liveCopies != 1 {
-		t.Fatalf("%d live copies, want exactly 1 (the original)", liveCopies)
+		}, 20 * sim.Second},
+		{"lossy", 20 * sim.Second, 24, func(c *cluster.Cluster) {
+			lossy := netsim.FaultSpec{Drop: 0.3}
+			for _, from := range c.Names() {
+				for _, to := range c.Names() {
+					if from != to {
+						c.Net.FaultLinkPort(from, to, ha.HBPort, lossy)
+					}
+				}
+			}
+		}, 60 * sim.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := bootHA(t, ha.Config{Interval: sim.Second, CkptInterval: tc.ckpt},
+				"alpha", "beta", "gamma")
+			c.Eng.Seed(tc.seed)
+			var falseSusp, liveCopies int
+			var recs int
+			c.Eng.Go("driver", func(tk *sim.Task) {
+				defer killAll(c)
+				hog, err := c.Spawn("alpha", nil, cluster.DefaultUser, "/bin/hog")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				buddy := c.HA("beta").Guard
+				c.HA("alpha").Guard.Protect(hog.PID, "beta")
+				for buddy.CommittedSeq("alpha", hog.PID) < 1 && tk.Now() < sim.Time(60*sim.Second) {
+					tk.Sleep(250 * sim.Millisecond)
+				}
+				if buddy.CommittedSeq("alpha", hog.PID) == 0 {
+					t.Error("no checkpoint committed before the faults")
+					return
+				}
+				tc.fault(c)
+				tk.Sleep(tc.dwell)
+				falseSusp = buddy.FalseSuspicions
+				recs = len(buddy.Recoveries)
+				c.Net.ClearFaults()
+				if hog.State == kernel.ProcRunning {
+					liveCopies++
+				}
+				for _, pi := range c.Machine("beta").PS() {
+					if p, ok := c.Machine("beta").FindProc(pi.PID); ok && p.Migrated && p.State == kernel.ProcRunning {
+						liveCopies++
+					}
+				}
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if recs != 0 {
+				t.Fatalf("buddy restarted %d copies of a live process", recs)
+			}
+			if liveCopies != 1 {
+				t.Fatalf("%d live copies, want exactly 1 (the original)", liveCopies)
+			}
+			if falseSusp == 0 {
+				t.Fatal("buddy never arbitrated a suspicion during the faults")
+			}
+		})
 	}
 }
 

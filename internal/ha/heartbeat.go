@@ -3,15 +3,14 @@
 // applications (load balancing, checkpointing long computations) take for
 // granted. Each host runs three cooperating daemons on top of netsim:
 //
-//   - hbd beacons liveness plus a digest of the local run queue. In small
-//     clusters every peer hears every beacon directly, and a peer silent
-//     for SuspectAfter is suspected. At scale each interval's beacons go
-//     to k ≈ ⌈log₂N⌉+2 peers chosen by a deterministic shuffle of the
-//     engine PRNG — O(N·k) messages per interval instead of O(N²). Each
-//     beacon doubles as a probe: a failed one suspects the peer. Beacons
+//   - hbd beacons liveness plus a digest of the local run queue. Each
+//     interval's beacons go to k = ⌈log₂N⌉+2 peers (every peer, in a
+//     cluster that small) chosen by a deterministic shuffle of the engine
+//     PRNG — O(N·k) messages per interval instead of O(N²). Each beacon
+//     doubles as a probe: a failed one suspects the peer. Beacons
 //     piggyback up to k summaries of news (joins, suspicions, refutations,
-//     rebirths), which reaches everyone in O(log N / log k) intervals;
-//     there is no timeout in this mode.
+//     rebirths), which reaches everyone in O(log N / log k) intervals.
+//     There is no timeout at any cluster size.
 //   - guardd (source role) takes periodic incremental checkpoints of
 //     processes registered for protection — the PR 1 dirty-page stream
 //     format reused as delta checkpoints — and spools them to a buddy
@@ -293,7 +292,6 @@ func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.T
 // defaults.
 type Config struct {
 	Interval     sim.Duration // beacon period (default 1s)
-	SuspectAfter sim.Duration // full-mesh beacon silence before suspicion (default 3×Interval)
 	CkptInterval sim.Duration // delta-checkpoint period (default 5s)
 	Incarnation  uint32       // this boot's incarnation (0 first boot; bump on revival)
 }
@@ -301,9 +299,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = sim.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.Interval
 	}
 	if c.CkptInterval <= 0 {
 		c.CkptInterval = 5 * sim.Second
@@ -407,7 +402,7 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 	cfg = cfg.withDefaults()
 	n := &Node{
 		src: src, host: host, eng: eng, cfg: cfg,
-		members: NewMembership(src.HostName(), cfg.SuspectAfter),
+		members: NewMembership(src.HostName()),
 		inc:     cfg.Incarnation,
 	}
 	if scope != nil {
@@ -449,16 +444,15 @@ func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 }
 
 // SetPeers tells the node who else is in the cluster. The fanout is
-// ⌈log₂N⌉+2, capped at the peer count. When it covers every peer, every
-// beacon goes to everyone and silence past SuspectAfter suspects; above
-// that, each interval's beacons go to a PRNG-chosen fanout-subset, carry
-// news, and only failed probes and suspicion news end a member's liveness.
+// ⌈log₂N⌉+2, capped at the peer count: each interval's beacons go to a
+// fanout-subset of the peers (all of them, when it covers every peer),
+// carry up to fanout summaries of news, and each news item is
+// re-broadcast by fanout beacons. Only failed probes and suspicion news
+// end a member's liveness.
 func (n *Node) SetPeers(peers []string) {
 	n.peers = append(n.peers[:0], peers...)
 	n.fanout = min(ceilLog2(len(peers)+1)+2, len(peers))
-	if n.fanout < len(n.peers) {
-		n.members.SetGossipParams(n.cfg.Interval/2, n.fanout)
-	}
+	n.members.setGossipParams(n.cfg.Interval/2, n.fanout)
 	n.pick = n.pick[:0]
 	for i := range n.peers {
 		n.pick = append(n.pick, i)
@@ -471,14 +465,9 @@ func (n *Node) Members() *Membership { return n.members }
 // Config returns the node's effective configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Fanout reports how many peers each beacon interval reaches; in gossip
-// mode it is also the most news summaries one beacon carries.
+// Fanout reports how many peers each beacon interval reaches; it is also
+// the most news summaries one beacon carries.
 func (n *Node) Fanout() int { return n.fanout }
-
-// SuspectAfter reports the configured beacon-silence window. A full mesh
-// suspects on it; the guardian also counts a checkpoint commit this
-// recent as proof of life.
-func (n *Node) SuspectAfter() sim.Duration { return n.cfg.SuspectAfter }
 
 // Incarnation reports which boot of the host this node represents.
 func (n *Node) Incarnation() uint32 { return n.inc }
@@ -518,18 +507,15 @@ func (n *Node) beacon(now sim.Time) *Heartbeat {
 	hb.Inc = n.inc
 	hb.Load = n.src.RunQueueLen()
 	hb.Procs = n.src.AppendProcStats(now, hb.Procs[:0])
-	hb.Summaries = hb.Summaries[:0]
-	if n.fanout < len(n.peers) {
-		hb.Summaries = n.members.appendGossip(hb.Summaries, n.fanout, now)
-	}
+	hb.Summaries = n.members.appendGossip(hb.Summaries[:0], n.fanout, now)
 	return hb
 }
 
 // choosePeers selects this interval's beacon targets into n.pick[:fanout]
 // via a partial Fisher-Yates shuffle drawn from the engine PRNG —
 // deterministic per seed. When fanout covers all peers no draws are made
-// (and the permutation is left in place), so small clusters behave
-// byte-for-byte as they did under all-peers beaconing.
+// and the permutation is left in place: every peer is a target anyway,
+// and the seeded runs of small clusters replay from that draw order.
 func (n *Node) choosePeers() []int {
 	if n.fanout >= len(n.peers) {
 		return n.pick
@@ -541,11 +527,11 @@ func (n *Node) choosePeers() []int {
 	return n.pick[:n.fanout]
 }
 
-// beaconLoop is hbd: every Interval, beacon to this interval's peers. In
-// a full mesh lost beacons are simply lost — the receiver's timeout does
-// the detecting; in gossip mode a failed beacon is a failed probe. A
-// beacon to a dead host costs the sender the network timeout, exactly as
-// a real datagram-and-ack heartbeat would.
+// beaconLoop is hbd: every Interval, beacon to this interval's peers. A
+// failed beacon is a failed probe and suspects the peer, at every cluster
+// size. A beacon to a dead host costs the sender the network timeout,
+// exactly as a real datagram-and-ack heartbeat would. While the roster is
+// incomplete each round starts with an anti-entropy sync.
 func (n *Node) beaconLoop(t *sim.Task) {
 	for !n.stopped {
 		t.Sleep(n.cfg.Interval)
@@ -561,8 +547,7 @@ func (n *Node) beaconLoop(t *sim.Task) {
 		n.encBuf = raw
 		encAt := now
 		n.members.Observe(hb, now) // the local view always includes self
-		gossip := n.fanout < len(n.peers)
-		if gossip && n.members.Len() < len(n.peers)+1 {
+		if n.members.Len() < len(n.peers)+1 {
 			n.syncExchange(t)
 			now = t.Now()
 		}
@@ -584,11 +569,10 @@ func (n *Node) beaconLoop(t *sim.Task) {
 				encAt = sendAt
 			}
 			_, err := n.host.Call(t, n.peers[pi], HBPort, raw) // best effort, by design
-			if err != nil && gossip {
+			if err != nil {
 				// The beacon doubled as a probe and the peer is dead or
-				// unreachable: suspect it and let the gossip channel carry
-				// the news. Full-mesh clusters keep pure timeout suspicion
-				// (every peer hears every beacon, no dissemination lag).
+				// unreachable: suspect it and let the piggyback carry the
+				// news.
 				n.members.Suspect(n.peers[pi], t.Now())
 			}
 			if n.cBeaconsOut != nil {

@@ -61,7 +61,7 @@ func FuzzObserveHeartbeat(f *testing.F) {
 	f.Add(append((&ha.Heartbeat{Host: "x"}).Encode(), 0, 0)) // empty summary block
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := ha.DecodeHeartbeat(data)
-		ms := ha.NewMembership(self, 3*sim.Second)
+		ms := ha.NewMembership(self)
 		hb, ns, err := ha.ObserveHeartbeat(ms, data, sim.Time(10*sim.Second))
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("hot path err %v, reference err %v on %x", err, refErr, data)

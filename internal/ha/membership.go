@@ -9,29 +9,25 @@ import (
 
 // Membership is one host's view of the cluster, built from received
 // heartbeats and from member summaries piggybacked on them (gossip).
-// Failure detection has one mechanism per mode. In a full mesh every
-// member beacons every observer, so a member silent longer than the
-// suspicion timeout is not Alive. In gossip mode (SetGossipParams) there
-// is no timeout: a member stops being Alive only when a probe of it fails
-// — a beacon or sync call came back dead — or when suspicion news of it
-// arrives, as in SWIM. The view is eventually consistent and can be
-// wrong both ways — a suspect may be merely partitioned (the guardian
-// arbitrates before acting) and a fresh member may have just crashed.
+// Failure detection has one mechanism at every cluster size, as in SWIM:
+// there is no timeout, and a member stops being Alive only when a probe of
+// it fails — a beacon or sync call came back dead — or when suspicion news
+// of it arrives. The view is eventually consistent and can be wrong both
+// ways — a suspect may be merely partitioned (the guardian arbitrates
+// before acting) and a fresh member may have just crashed.
 //
 // The table is built for 1,000-host clusters: states are updated in place
 // (no per-beacon allocation once a member is known), reads go through
 // ViewInto/Get without copying proc lists anew each call, and news queues
 // select which members to gossip about in O(k).
 type Membership struct {
-	self         string
-	suspectAfter sim.Duration // full-mesh silence that ends liveness
-	gossip       bool         // no timeout: only suspicion ends liveness
-	members      map[string]*memberState
-	byName       []*memberState // sorted by host name
-	freshGrant   sim.Duration   // liveness advance that counts as fresh news
-	budget       int            // per-item retransmission budget (0 = default)
-	gen          uint64         // bumped on every state change
-	mark         uint64         // appendGossip call stamp, for O(1) dedupe
+	self       string
+	members    map[string]*memberState
+	byName     []*memberState // sorted by host name
+	freshGrant sim.Duration   // liveness advance that counts as fresh news
+	budget     int            // per-item retransmission budget
+	gen        uint64         // bumped on every state change
+	mark       uint64         // appendGossip call stamp, for O(1) dedupe
 	// Two FIFOs of members with unspent retransmission budget. Explicit
 	// queues — not a recency scan — are what make dissemination survive
 	// scale: a node digests hundreds of summaries per interval, so any
@@ -97,13 +93,6 @@ type memberState struct {
 	inQueue    [2]bool // sitting in qs[qUrgent] / qs[qJoin]
 }
 
-// defaultGossipBudget is how many beacons re-broadcast one piece of fresh
-// news when SetGossipParams has not chosen a cluster-sized value. For an
-// epidemic to reach all N members w.h.p. each adopter must retransmit
-// ~log N times (the SWIM λ·log N rule): the Node sets budget to its
-// fanout, which is ⌈log₂N⌉+2.
-const defaultGossipBudget = 2
-
 // Member is one row of the view at a given instant.
 type Member struct {
 	Host  string
@@ -130,23 +119,18 @@ type ViewBuf struct {
 	procs   []ProcStat
 }
 
-// NewMembership creates an empty table for the named host.
-func NewMembership(self string, suspectAfter sim.Duration) *Membership {
-	ms := &Membership{
-		self:         self,
-		suspectAfter: suspectAfter,
-		members:      map[string]*memberState{},
-	}
-	return ms
+// NewMembership creates an empty table for the named host. Node.SetPeers
+// sizes its news budget once the cluster size is known.
+func NewMembership(self string) *Membership {
+	return &Membership{self: self, members: map[string]*memberState{}}
 }
 
-// SetGossipParams puts the table in gossip mode, where liveness no longer
-// times out, and tunes dissemination: fresh is the liveness advance that
+// setGossipParams tunes dissemination: fresh is the liveness advance that
 // counts as a change readers should see (typically half the beacon
 // interval), and budget is how many beacons re-broadcast one piece of
-// news.
-func (ms *Membership) SetGossipParams(fresh sim.Duration, budget int) {
-	ms.gossip = true
+// news — the fanout ⌈log₂N⌉+2, after SWIM's λ·log N rule: for an epidemic
+// to reach all N members w.h.p. each adopter must retransmit ~log N times.
+func (ms *Membership) setGossipParams(fresh sim.Duration, budget int) {
 	ms.budget = budget
 	ms.freshGrant = fresh
 }
@@ -180,7 +164,7 @@ func (ms *Membership) state(host string) *memberState {
 // join is still paying out): the budget is shared and a summary always
 // carries current state, so the duplicate costs a slot, never a lie.
 func (ms *Membership) grant(which int, st *memberState) {
-	st.gossipLeft = ms.gossipBudget()
+	st.gossipLeft = ms.budget
 	if !st.inQueue[which] {
 		st.inQueue[which] = true
 		ms.qs[which].q = append(ms.qs[which].q, st)
@@ -367,11 +351,11 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		// ones are recorded silently so the ~k·p summaries per interval
 		// don't each invalidate readers' cached views over news that
 		// changes nothing an observer can see. Note no retransmission
-		// budget: routine liveness is not news (nothing times out in
-		// gossip mode), and budgeting it would keep all N members
-		// perpetually competing for the piggyback slots that genuine
-		// state changes (joins, suspicions, refutations) need.
-		if !known || sim.Duration(heard-st.lastHeard) >= ms.fresh() {
+		// budget: routine liveness is not news (nothing times out), and
+		// budgeting it would keep all N members perpetually competing
+		// for the piggyback slots that genuine state changes (joins,
+		// suspicions, refutations) need.
+		if !known || sim.Duration(heard-st.lastHeard) >= ms.freshGrant {
 			if !known {
 				ms.grant(qJoin, st)
 			}
@@ -398,20 +382,6 @@ func (ms *Membership) appendGossip(dst []MemberSummary, p int, now sim.Time) []M
 	base := len(dst)
 	dst = ms.drain(qUrgent, dst, base, p, now)
 	return ms.drain(qJoin, dst, base, p, now)
-}
-
-func (ms *Membership) fresh() sim.Duration {
-	if ms.freshGrant > 0 {
-		return ms.freshGrant
-	}
-	return sim.Second / 2
-}
-
-func (ms *Membership) gossipBudget() int {
-	if ms.budget > 0 {
-		return ms.budget
-	}
-	return defaultGossipBudget
 }
 
 // appendSummaryBlock encodes one summary per known member — self included
@@ -468,16 +438,12 @@ func (ms *Membership) summarize(st *memberState, now sim.Time) MemberSummary {
 	return MemberSummary{Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Age: age, Suspect: st.suspected}
 }
 
-// Alive reports whether the named member is up in this view: not
-// suspected and, in a full mesh, heard from within the suspicion timeout.
-// Hosts never heard from are not alive.
+// Alive reports whether the named member is up in this view: known and
+// not suspected. Hosts never heard from are not alive. Nothing times out,
+// so the answer does not depend on now.
 func (ms *Membership) Alive(host string, now sim.Time) bool {
 	st, ok := ms.members[host]
-	return ok && ms.alive(st, now)
-}
-
-func (ms *Membership) alive(st *memberState, now sim.Time) bool {
-	return !st.suspected && (ms.gossip || sim.Duration(now-st.lastHeard) <= ms.suspectAfter)
+	return ok && !st.suspected
 }
 
 // LastHeard returns when the named member last beaconed (0, false if
@@ -503,7 +469,7 @@ func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 		Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
 		CensusAt:  st.censusAt,
 		LastHeard: st.lastHeard,
-		Alive:     ms.alive(st, now),
+		Alive:     !st.suspected,
 		Suspected: st.suspected,
 	}, true
 }
@@ -533,7 +499,7 @@ func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 			Procs:     procs[start:len(procs):len(procs)],
 			CensusAt:  st.censusAt,
 			LastHeard: st.lastHeard,
-			Alive:     ms.alive(st, now),
+			Alive:     !st.suspected,
 			Suspected: st.suspected,
 		})
 	}

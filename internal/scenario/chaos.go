@@ -107,8 +107,8 @@ func Chaos(seed uint64) *Scenario {
 // chaosPartitionEpoch cuts a safe group away and heals it. Safe groups
 // never separate the protected pair (home n3, buddy n2), so a guardian
 // can never be tricked into a split-brain restart by the generator
-// itself. Dwell may exceed the suspicion timeout — that only churns
-// membership, which must re-converge by quiesce.
+// itself. Probes across the cut fail, so hosts on each side suspect the
+// other — that only churns membership, which must re-converge by quiesce.
 func chaosPartitionEpoch(rng *chaosRNG, ev func(Event)) {
 	cuts := [][][]string{
 		{{chaosChurnHost}, {"n0", "n1", "n2", "n3", "n5"}},

@@ -78,8 +78,9 @@ func A7Tables(seed uint64) []*Scenario {
 // mid-interval, recovery awaited on the buddy.
 //
 // Membership convergence is skipped by design: the run quiesces one
-// second after the crash, well inside the suspicion timeout, so the
-// surviving hosts legitimately still disagree about alpha.
+// second after the crash, before every survivor need have probed alpha
+// or heard the suspicion news, so the surviving hosts legitimately may
+// still disagree about alpha.
 func A8Table(interval sim.Duration, dropPct int, seed uint64) *Scenario {
 	sc := &Scenario{
 		Name:  fmt.Sprintf("a8-iv%s-drop%d", interval, dropPct),

@@ -37,6 +37,7 @@ import (
 
 	"procmig/internal/experiments"
 	"procmig/internal/scenario"
+	"procmig/internal/sim"
 )
 
 var (
@@ -459,56 +460,91 @@ func a6() error {
 	return nil
 }
 
-func a7() error {
-	pts, err := experiments.A7FaultSweep(1)
+// runCell runs one A7/A8 table cell. Any scenario invariant violation —
+// above all a second live copy, or none — fails the figure.
+func runCell(sc *scenario.Scenario) (*scenario.Result, error) {
+	res, err := scenario.Run(sc)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	if v := res.FirstViolation(); v != nil {
+		return nil, fmt.Errorf("%s: %v", sc.Name, v)
+	}
+	return res, nil
+}
+
+// faultLabel names the network fault a table cell injects, read from its
+// schedule: a scripted mid-transfer crash or a per-port drop rate.
+func faultLabel(sc *scenario.Scenario) string {
+	for _, ev := range sc.Events {
+		switch ev.Op {
+		case "crash_after":
+			return "mid crash"
+		case "fault_port":
+			return fmt.Sprintf("drop %.0f%%", ev.Drop*100)
+		}
+	}
+	return "drop 0%"
+}
+
+func a7() error {
 	header("A7 — transactional migration under network faults (rmigrate -s -r 2, seed 1)")
 	fmt.Printf("%-10s %-10s %10s %10s %12s %12s %6s\n",
 		"image/ws", "fault", "outcome", "copy on", "freeze (sim)", "total (sim)", "live")
-	for _, pt := range pts {
-		fault := fmt.Sprintf("drop %d%%", pt.DropPct)
-		if pt.Crash {
-			fault = "mid crash"
+	for _, sc := range scenario.A7Tables(1) {
+		res, err := runCell(sc)
+		if err != nil {
+			return err
+		}
+		mig, wl := res.Migrations[0], res.Workloads["hog"]
+		if mig.Committed != wl.Migrated {
+			return fmt.Errorf("%s: committed=%v but migrated=%v", sc.Name, mig.Committed, wl.Migrated)
 		}
 		outcome, where := "aborted", "source"
-		if pt.Committed {
-			outcome = "committed"
+		if mig.Committed {
+			outcome, where = "committed", "dest"
 		}
-		if pt.Migrated {
-			where = "dest"
-		}
+		hog := sc.Workloads[0]
 		fmt.Printf("%-10s %-10s %10s %10s %12v %12v %6d\n",
-			pt.Label, fault, outcome, where, pt.Freeze, pt.Total, pt.LiveCopies)
+			fmt.Sprintf("%dK/%dK", hog.TotalBytes>>10, hog.WSBytes>>10), faultLabel(sc),
+			outcome, where, mig.Freeze, mig.Total, wl.LiveCopies)
 	}
-	fmt.Println("(every row must end with exactly one live copy — a7Run fails otherwise;")
+	fmt.Println("(every row must end with exactly one live copy — the figure fails otherwise;")
 	fmt.Println(" 'mid crash' kills the destination on a scripted mid-round stream message,")
 	fmt.Println(" the transaction aborts, and the source resumes the original)")
 	return nil
 }
 
+// a8BoundSlack covers the measurement slop in A8's lost-work bound: the
+// crash-scheduling poll granularity and the instants where the victim is
+// frozen inside an in-flight transfer (frozen time does no work, so it
+// never adds to the counter gap — only to the wall-clock conversion).
+const a8BoundSlack = 2 * sim.Second
+
 func a8() error {
-	pts, err := experiments.A8FaultSweep(1)
-	if err != nil {
-		return err
-	}
 	header("A8 — crash recovery from buddy delta-checkpoints (guardd, seed 1)")
 	fmt.Printf("%-10s %-10s %6s %14s %14s %6s %6s\n",
 		"ckpt ivl", "fault", "ckpts", "recovery (sim)", "lost work", "bound", "live")
-	for _, pt := range pts {
-		bound := "ok"
-		if !pt.BoundOK {
-			bound = "FAIL"
+	for _, sc := range scenario.A8Tables(1) {
+		res, err := runCell(sc)
+		if err != nil {
+			return err
+		}
+		rec, wl := res.Recoveries[0], res.Workloads["hog"]
+		iv := sc.HA.CkptInterval
+		if !rec.Resumed {
+			return fmt.Errorf("%s: restart status nonzero", sc.Name)
+		}
+		if rec.LostWork > iv+a8BoundSlack {
+			return fmt.Errorf("%s: lost work %v exceeds interval %v + slack", sc.Name, rec.LostWork, iv)
 		}
 		fmt.Printf("%-10v %-10s %6d %14v %14v %6s %6d\n",
-			pt.Interval, fmt.Sprintf("drop %d%%", pt.DropPct), pt.Checkpoints,
-			pt.Recovery, pt.LostWork, bound, pt.LiveCopies)
+			iv, faultLabel(sc), rec.Checkpoints, rec.Recovery, rec.LostWork, "ok", wl.LiveCopies)
 	}
 	fmt.Println("(each row crashes the source mid-interval; the buddy arbitrates over the")
 	fmt.Println(" migd transaction port before restarting the newest committed checkpoint;")
 	fmt.Println(" every row must end with exactly one live copy and lost work inside one")
-	fmt.Println(" checkpoint interval — a8Run fails otherwise)")
+	fmt.Println(" checkpoint interval — the figure fails otherwise)")
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
 	"procmig/internal/obs"
+	"procmig/internal/scenario"
 	"procmig/internal/sim"
 	"procmig/internal/vm"
 )
@@ -50,7 +51,7 @@ func A10Observability() (*A10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.InstallVM("/bin/a10hog", a6HogSrc(128<<10, 8<<10)); err != nil {
+	if err := c.InstallVM("/bin/a10hog", scenario.HogSrc(128<<10, 8<<10)); err != nil {
 		return nil, err
 	}
 	var status int

@@ -9,6 +9,7 @@ import (
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
 	"procmig/internal/obs"
+	"procmig/internal/scenario"
 	"procmig/internal/sim"
 )
 
@@ -43,7 +44,7 @@ func spanRun(t *testing.T, seed uint64, dropPct int, crash bool) (*obs.Tracer, i
 		t.Fatal(err)
 	}
 	c.Eng.Seed(seed)
-	if err := c.InstallVM("/bin/spanhog", a6HogSrc(64<<10, 8<<10)); err != nil {
+	if err := c.InstallVM("/bin/spanhog", scenario.HogSrc(64<<10, 8<<10)); err != nil {
 		t.Fatal(err)
 	}
 	status := -1
@@ -58,7 +59,8 @@ func spanRun(t *testing.T, seed uint64, dropPct int, crash bool) (*obs.Tracer, i
 		}
 		tk.Sleep(2 * sim.Second)
 		if crash {
-			c.NetHost("beta").CrashAfter(apps.MigdStreamPort, a7CrashAfter)
+			// Past the hello and the first few chunks: inside round one.
+			c.NetHost("beta").CrashAfter(apps.MigdStreamPort, 10)
 		} else if dropPct > 0 {
 			spec := netsim.FaultSpec{Drop: float64(dropPct) / 100, Dup: float64(dropPct) / 200}
 			c.Net.FaultPort(apps.MigdPort, spec)

@@ -5,30 +5,11 @@ import (
 
 	"procmig/internal/kernel"
 	"procmig/internal/nfs"
+	"procmig/internal/scenario"
 	"procmig/internal/sim"
 )
 
 // --- A6: stop-and-copy vs streaming vs pre-copy -------------------------------
-
-// a6HogSrc builds a memory hog: a data segment of totalBytes whose first
-// wsBytes are rewritten continuously (one store per 1 KiB page per pass),
-// modelling a process with a large image but a smaller active working set —
-// the case pre-copy is designed for.
-func a6HogSrc(totalBytes, wsBytes int) string {
-	return fmt.Sprintf(`
-start:  movi r2, ws
-        movi r3, 7
-loop:   str  r2, r3
-        addi r2, 1024
-        cmpi r2, wsend
-        jlt  loop
-        movi r2, ws
-        jmp  loop
-        .data
-ws:     .space %d
-wsend:  .space %d
-`, wsBytes, totalBytes-wsBytes)
-}
 
 // A6Point is one image-size/working-set configuration measured under the
 // three transfer strategies:
@@ -110,7 +91,7 @@ func measureA6(mode string, totalBytes, wsBytes int) (total, freeze sim.Duration
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	if err := c.InstallVM("/bin/a6hog", a6HogSrc(totalBytes, wsBytes)); err != nil {
+	if err := c.InstallVM("/bin/a6hog", scenario.HogSrc(totalBytes, wsBytes)); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	net := c.NetHost("gamma").Network()

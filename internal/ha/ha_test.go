@@ -74,7 +74,8 @@ func TestMembershipSuspicion(t *testing.T) {
 	// A late duplicate refreshes liveness but never rolls state back.
 	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 5, Load: 7}, sim.Time(56*sim.Second))
 	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 2, Load: 1}, sim.Time(57*sim.Second))
-	v := ms.View(sim.Time(57 * sim.Second))
+	var buf ha.ViewBuf
+	v := ms.ViewInto(sim.Time(57*sim.Second), &buf)
 	if len(v) != 1 || v[0].Seq != 5 || v[0].Load != 7 {
 		t.Fatalf("stale beacon rolled state back: %+v", v)
 	}
@@ -88,7 +89,8 @@ func TestMembershipViewSorted(t *testing.T) {
 	for _, h := range []string{"zeta", "alpha", "mid"} {
 		ms.Observe(&ha.Heartbeat{Host: h, Seq: 1}, 0)
 	}
-	v := ms.View(0)
+	var buf ha.ViewBuf
+	v := ms.ViewInto(0, &buf)
 	if len(v) != 3 || v[0].Host != "alpha" || v[1].Host != "mid" || v[2].Host != "zeta" {
 		t.Fatalf("view not sorted: %+v", v)
 	}
@@ -124,13 +126,16 @@ func killAll(c *cluster.Cluster) {
 // every other node alive, with the load the peer advertised.
 func TestHeartbeatViewConverges(t *testing.T) {
 	c := bootHA(t, ha.Config{Interval: sim.Second}, "alpha", "beta", "gamma")
-	var view []ha.Member
+	var (
+		buf  ha.ViewBuf
+		view []ha.Member
+	)
 	c.Eng.Go("driver", func(tk *sim.Task) {
 		if _, err := c.Spawn("gamma", nil, cluster.DefaultUser, "/bin/hog"); err != nil {
 			t.Error(err)
 		}
 		tk.Sleep(5 * sim.Second)
-		view = c.HA("alpha").Members().View(tk.Now())
+		view = c.HA("alpha").Members().ViewInto(tk.Now(), &buf)
 		killAll(c)
 	})
 	if err := c.Run(); err != nil {

@@ -452,7 +452,7 @@ func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 func (n *Node) SetPeers(peers []string) {
 	n.peers = append(n.peers[:0], peers...)
 	n.fanout = min(ceilLog2(len(peers)+1)+2, len(peers))
-	n.members.setGossipParams(n.cfg.Interval/2, n.fanout)
+	n.members.setGossipParams(n.fanout)
 	n.pick = n.pick[:0]
 	for i := range n.peers {
 		n.pick = append(n.pick, i)

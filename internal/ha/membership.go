@@ -21,13 +21,11 @@ import (
 // ViewInto/Get without copying proc lists anew each call, and news queues
 // select which members to gossip about in O(k).
 type Membership struct {
-	self       string
-	members    map[string]*memberState
-	byName     []*memberState // sorted by host name
-	freshGrant sim.Duration   // liveness advance that counts as fresh news
-	budget     int            // per-item retransmission budget
-	gen        uint64         // bumped on every state change
-	mark       uint64         // appendGossip call stamp, for O(1) dedupe
+	self    string
+	members map[string]*memberState
+	byName  []*memberState // sorted by host name
+	budget  int            // per-item retransmission budget
+	mark    uint64         // appendGossip call stamp, for O(1) dedupe
 	// Two FIFOs of members with unspent retransmission budget. Explicit
 	// queues — not a recency scan — are what make dissemination survive
 	// scale: a node digests hundreds of summaries per interval, so any
@@ -125,19 +123,13 @@ func NewMembership(self string) *Membership {
 	return &Membership{self: self, members: map[string]*memberState{}}
 }
 
-// setGossipParams tunes dissemination: fresh is the liveness advance that
-// counts as a change readers should see (typically half the beacon
-// interval), and budget is how many beacons re-broadcast one piece of
-// news — the fanout ⌈log₂N⌉+2, after SWIM's λ·log N rule: for an epidemic
-// to reach all N members w.h.p. each adopter must retransmit ~log N times.
-func (ms *Membership) setGossipParams(fresh sim.Duration, budget int) {
+// setGossipParams tunes dissemination: budget is how many beacons
+// re-broadcast one piece of news — the fanout ⌈log₂N⌉+2, after SWIM's
+// λ·log N rule: for an epidemic to reach all N members w.h.p. each adopter
+// must retransmit ~log N times.
+func (ms *Membership) setGossipParams(budget int) {
 	ms.budget = budget
-	ms.freshGrant = fresh
 }
-
-// Gen reports the table's generation, bumped on every state change.
-// Readers can skip rebuilding derived state while it is unchanged.
-func (ms *Membership) Gen() uint64 { return ms.gen }
 
 // Len reports how many members the table knows (including self, once
 // self-observed).
@@ -232,21 +224,18 @@ func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
 		if known {
 			ms.grant(qUrgent, st)
 		}
-		ms.gen++
 	}
 	if st.suspected {
 		// A direct beacon is proof of life: refute, and make the good news
 		// spread as fast as the suspicion did.
 		st.suspected = false
 		ms.grant(qUrgent, st)
-		ms.gen++
 	}
 	if now > st.lastHeard {
 		if !known {
 			ms.grant(qJoin, st) // a join is news; a routine beacon is not
 		}
 		st.lastHeard = now
-		ms.gen++
 	}
 	if known && hb.Seq <= st.seq {
 		return
@@ -255,7 +244,6 @@ func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
 	st.load = hb.Load
 	st.procs = append(st.procs[:0], hb.Procs...)
 	st.censusAt = now
-	ms.gen++
 }
 
 // Suspect records a failed probe of host: the caller beaconed to it and
@@ -272,7 +260,6 @@ func (ms *Membership) Suspect(host string, now sim.Time) {
 	st.suspected = true
 	st.suspectAt = now
 	ms.grant(qUrgent, st)
-	ms.gen++
 }
 
 // ObserveSummary folds one gossiped third-party summary into the table.
@@ -326,7 +313,6 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 			st.suspected = false
 			ms.grant(qUrgent, st)
 		}
-		ms.gen++
 	}
 	if suspect {
 		// Second-hand suspicion; heard is the reconstructed time the
@@ -337,36 +323,26 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 			st.suspected = true
 			st.suspectAt = heard
 			ms.grant(qUrgent, st)
-			ms.gen++
 		}
 		return
 	}
 	if st.suspected && heard > st.suspectAt {
 		st.suspected = false
 		ms.grant(qUrgent, st)
-		ms.gen++
 	}
 	if heard > st.lastHeard {
-		// Only a materially fresher advance bumps the generation; smaller
-		// ones are recorded silently so the ~k·p summaries per interval
-		// don't each invalidate readers' cached views over news that
-		// changes nothing an observer can see. Note no retransmission
-		// budget: routine liveness is not news (nothing times out), and
-		// budgeting it would keep all N members perpetually competing
-		// for the piggyback slots that genuine state changes (joins,
-		// suspicions, refutations) need.
-		if !known || sim.Duration(heard-st.lastHeard) >= ms.freshGrant {
-			if !known {
-				ms.grant(qJoin, st)
-			}
-			ms.gen++
+		// A join is news; a routine liveness advance is not, and gets no
+		// retransmission budget: nothing times out, and budgeting it would
+		// keep all N members perpetually competing for the piggyback slots
+		// that genuine state changes (joins, suspicions, refutations) need.
+		if !known {
+			ms.grant(qJoin, st)
 		}
 		st.lastHeard = heard
 	}
 	if !known || seq > st.seq {
 		st.seq = seq
 		st.load = load
-		ms.gen++
 	}
 }
 
@@ -506,11 +482,4 @@ func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 	buf.procs = procs
 	buf.members = out
 	return out
-}
-
-// View snapshots the table with freshly allocated storage, sorted by host
-// name. Kept for tests and one-shot callers; hot paths use ViewInto.
-func (ms *Membership) View(now sim.Time) []Member {
-	var buf ViewBuf
-	return ms.ViewInto(now, &buf)
 }

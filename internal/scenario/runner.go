@@ -104,7 +104,7 @@ func Run(sc *Scenario) (*Result, error) {
 		return nil, err
 	}
 	defer c.Eng.Close()
-	// Boot parity with the hand-coded experiments: the stock test program
+	// Boot order is part of every pinned result: the stock test program
 	// is installed before the seed is applied, workload programs after.
 	if err := c.InstallVM("/bin/counter", cluster.TestProgramSrc); err != nil {
 		return nil, err
@@ -655,13 +655,12 @@ func (r *runner) exec(tk *sim.Task, ev Event) error {
 // migOutcome carries a migration's bookkeeping between start and finish.
 type migOutcome struct {
 	MigrationOutcome
-	t0     sim.Time
 	rf     *ref
 	srcPID int
 }
 
-// startMigration spawns rmigrate for one workload, exactly as the A7
-// driver does (same client host, same argument order).
+// startMigration spawns rmigrate for one workload on the event's client
+// host.
 func (r *runner) startMigration(tk *sim.Task, ev Event) (*kernel.Proc, *migOutcome, error) {
 	rf := r.refs[ev.Workload]
 	from := rf.home
@@ -693,8 +692,8 @@ func (r *runner) startMigration(tk *sim.Task, ev Event) (*kernel.Proc, *migOutco
 		args = append(args, "-s", "-r", rounds, "-n", fmt.Sprint(chunks))
 	}
 	out := &migOutcome{
-		MigrationOutcome: MigrationOutcome{Workload: ev.Workload, From: from, To: to},
-		t0:               tk.Now(), rf: rf, srcPID: rf.curPID,
+		MigrationOutcome: MigrationOutcome{Workload: ev.Workload, From: from, To: to, Start: tk.Now()},
+		rf:               rf, srcPID: rf.curPID,
 	}
 	p, err := r.c.Spawn(client, nil, user, "/bin/rmigrate", args...)
 	if err != nil {
@@ -709,7 +708,7 @@ func (r *runner) startMigration(tk *sim.Task, ev Event) (*kernel.Proc, *migOutco
 // aborted one leaves it where it was.
 func (r *runner) finishMigration(tk *sim.Task, p *kernel.Proc, out *migOutcome) {
 	status := p.AwaitExit(tk)
-	out.Total = sim.Duration(tk.Now() - out.t0)
+	out.Total = sim.Duration(tk.Now() - out.Start)
 	out.Freeze = r.c.Machine(out.From).Metrics.LastDump.Real
 	out.Committed = status == 0
 	out.rf.inFlight--

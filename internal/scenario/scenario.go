@@ -6,9 +6,8 @@
 // quiesce. The same seed replays the same run bit for bit, so a failing
 // chaos run is reproduced by re-running its emitted artifact.
 //
-// The hand-coded fault experiments (A7, A8) are expressible as scenario
-// tables — tables.go builds them — which is the proof that the DSL
-// subsumes the bespoke harness code it replaces.
+// The fault experiments A7 and A8 are scenario tables too: tables.go
+// builds them, and migbench prints both figures from their results.
 package scenario
 
 import (
@@ -239,6 +238,7 @@ type MigrationOutcome struct {
 	From      string       `json:"from"`
 	To        string       `json:"to"`
 	Committed bool         `json:"committed"`
+	Start     sim.Time     `json:"start"`  // when the rmigrate client was spawned
 	Total     sim.Duration `json:"total"`  // rmigrate real time
 	Freeze    sim.Duration `json:"freeze"` // source kernel's dump window
 }
@@ -318,8 +318,10 @@ func Decode(raw []byte) (*Scenario, error) {
 	return sc, nil
 }
 
-// HogSrc is the A6 memory hog: touch a working set of wsBytes once per
-// 1 KiB page, forever, inside an image of totalBytes.
+// HogSrc is the A6 memory hog: a data segment of totalBytes whose first
+// wsBytes are rewritten continuously (one store per 1 KiB page per pass),
+// modelling a process with a large image but a smaller active working set —
+// the case pre-copy is designed for.
 func HogSrc(totalBytes, wsBytes int) string {
 	return fmt.Sprintf(`
 start:  movi r2, ws

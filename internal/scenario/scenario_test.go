@@ -1,50 +1,163 @@
 package scenario_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"procmig/internal/experiments"
 	"procmig/internal/scenario"
 	"procmig/internal/sim"
 )
 
-// --- chaos smoke --------------------------------------------------------------
+// --- A7/A8 golden pins --------------------------------------------------------
 
-// TestChaosSeeds runs the generated chaos scenario for a handful of seeds:
-// every invariant must hold on every run, and a fixed seed must reproduce
-// the identical result.
-func TestChaosSeeds(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		sc := scenario.Chaos(seed)
-		res, err := scenario.Run(sc)
-		if err != nil {
-			t.Fatalf("chaos seed %d: %v", seed, err)
-		}
-		if !res.Passed() {
-			t.Fatalf("chaos seed %d: %v", seed, res.FirstViolation())
-		}
-		if len(res.Migrations) == 0 {
-			t.Errorf("chaos seed %d: no migrations ran — generator produced a dull schedule", seed)
-		}
-		if len(res.Recoveries) != 1 {
-			t.Errorf("chaos seed %d: %d recoveries, want exactly 1", seed, len(res.Recoveries))
-		}
+// The A7 and A8 tables' seed-1 outcomes, cell by cell in table order,
+// exact to the simulated microsecond: the numbers behind migbench -fig a7
+// and -fig a8, plus when each migration started. A change to a table's
+// boot order, sleeps, poll cadences or PRNG draws moves one of these
+// numbers; a change that means to move them must re-pin them and say why.
+//
+// These tests come first in the package on purpose. encoding/gob numbers
+// wire types process-wide in first-use order, and the daemons' messages
+// are gob, so a message's size — and with it an A7 cell's timings, by a
+// few microseconds — depends on which other scenarios the process ran
+// before the cell. Run first, the tables see the ids a fresh migbench
+// process sees; later runs in the same process reuse those ids.
+type a7Pin struct {
+	name                string
+	committed, migrated bool
+	live                int
+	start               sim.Time
+	freeze, total       sim.Duration
+}
+
+type a8Pin struct {
+	name               string
+	ckpts              int
+	resumed            bool
+	live               int
+	recovery, lostWork sim.Duration
+}
+
+var (
+	a7Golden = []a7Pin{
+		{"a7-64K/8K-drop0-crashfalse", true, true, 1, 3000000, 816950, 2662477},
+		{"a7-64K/8K-drop5-crashfalse", true, true, 1, 3000000, 1940135, 7785658},
+		{"a7-64K/8K-drop10-crashfalse", true, true, 1, 3000000, 816950, 12276026},
+		{"a7-64K/8K-drop20-crashfalse", true, true, 1, 3000000, 820250, 24665777},
+		{"a7-64K/8K-drop0-crashtrue", false, false, 1, 3000000, 0, 74790717},
+		{"a7-256K/16K-drop0-crashfalse", true, true, 1, 4000000, 2194566, 8527205},
+		{"a7-256K/16K-drop5-crashfalse", true, true, 1, 4000000, 2194566, 24527205},
+		{"a7-256K/16K-drop10-crashfalse", true, true, 1, 4000000, 2194566, 36527205},
+		{"a7-256K/16K-drop20-crashfalse", true, true, 1, 4000000, 2196358, 65288997},
+		{"a7-256K/16K-drop0-crashtrue", false, false, 1, 4000000, 0, 74777597},
+	}
+	a8Golden = []a8Pin{
+		{"a8-iv2.000s-drop0", 2, true, 1, 4500000, 979993},
+		{"a8-iv2.000s-drop10", 2, true, 1, 4500000, 959998},
+		{"a8-iv2.000s-drop20", 2, true, 1, 4250000, 939996},
+		{"a8-iv5.000s-drop0", 2, true, 1, 4000000, 2479999},
+		{"a8-iv5.000s-drop10", 2, true, 1, 3250000, 2319994},
+		{"a8-iv5.000s-drop20", 2, true, 1, 2750000, 2459996},
+	}
+)
+
+// runGolden runs every cell of a table as a parallel subtest and hands
+// each passing result to check with the cell's index.
+func runGolden(t *testing.T, tables []*scenario.Scenario, pins int, check func(*testing.T, int, *scenario.Result)) {
+	if len(tables) != pins {
+		t.Fatalf("%d table cells, %d pins", len(tables), pins)
+	}
+	for i, sc := range tables {
+		t.Run(strings.ReplaceAll(sc.Name, "/", "-"), func(t *testing.T) {
+			t.Parallel()
+			res, err := scenario.Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Passed() {
+				t.Fatal(res.FirstViolation())
+			}
+			check(t, i, res)
+		})
 	}
 }
 
+func TestA7TableGolden(t *testing.T) {
+	tables := scenario.A7Tables(1)
+	runGolden(t, tables, len(a7Golden), func(t *testing.T, i int, res *scenario.Result) {
+		if len(res.Migrations) != 1 {
+			t.Fatalf("%d migrations, want 1", len(res.Migrations))
+		}
+		mig, wl := res.Migrations[0], res.Workloads["hog"]
+		got := a7Pin{tables[i].Name, mig.Committed, wl.Migrated, wl.LiveCopies, mig.Start, mig.Freeze, mig.Total}
+		if got != a7Golden[i] {
+			t.Errorf("got    %#v\npinned %#v", got, a7Golden[i])
+		}
+	})
+}
+
+func TestA8TableGolden(t *testing.T) {
+	tables := scenario.A8Tables(1)
+	runGolden(t, tables, len(a8Golden), func(t *testing.T, i int, res *scenario.Result) {
+		if len(res.Recoveries) != 1 {
+			t.Fatalf("%d recoveries, want 1", len(res.Recoveries))
+		}
+		rec, wl := res.Recoveries[0], res.Workloads["hog"]
+		got := a8Pin{tables[i].Name, rec.Checkpoints, rec.Resumed, wl.LiveCopies, rec.Recovery, rec.LostWork}
+		if got != a8Golden[i] {
+			t.Errorf("got    %#v\npinned %#v", got, a8Golden[i])
+		}
+	})
+}
+
+// --- chaos smoke --------------------------------------------------------------
+
+// TestChaosSeeds runs the generated chaos scenario for a handful of seeds:
+// every invariant must hold on every run. Seeds run as parallel subtests —
+// each builds its own cluster.
+func TestChaosSeeds(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			res, err := scenario.Run(scenario.Chaos(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Passed() {
+				t.Fatal(res.FirstViolation())
+			}
+			if len(res.Migrations) == 0 {
+				t.Error("no migrations ran — generator produced a dull schedule")
+			}
+			if len(res.Recoveries) != 1 {
+				t.Errorf("%d recoveries, want exactly 1", len(res.Recoveries))
+			}
+		})
+	}
+}
+
+// TestChaosDeterministic: a fixed seed reproduces the identical result.
+// The two runs go at once, so mutable state the two clusters wrongly
+// share can show up as a divergence.
 func TestChaosDeterministic(t *testing.T) {
-	a, err := scenario.Run(scenario.Chaos(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := scenario.Run(scenario.Chaos(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
+	var res [2]*scenario.Result
+	t.Run("runs", func(t *testing.T) {
+		for i := range res {
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				r, err := scenario.Run(scenario.Chaos(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[i] = r
+			})
+		}
+	})
+	if !t.Failed() && !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatalf("same seed, different results:\n%+v\n%+v", res[0], res[1])
 	}
 }
 
@@ -62,81 +175,6 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sc, back) {
 		t.Fatal("scenario did not survive the JSON round trip")
-	}
-}
-
-// --- A7/A8 equivalence --------------------------------------------------------
-
-// TestA7TableEquivalence holds the scenario re-expression of A7 to the
-// hand-coded sweep: same seed, same per-cell outcomes, bit for bit.
-func TestA7TableEquivalence(t *testing.T) {
-	const seed = 1
-	pts, err := experiments.A7FaultSweep(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := scenario.A7Tables(seed)
-	if len(tables) != len(pts) {
-		t.Fatalf("%d tables vs %d sweep cells", len(tables), len(pts))
-	}
-	for i, sc := range tables {
-		pt := pts[i]
-		res, err := scenario.Run(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		if !res.Passed() {
-			t.Fatalf("%s: %v", sc.Name, res.FirstViolation())
-		}
-		if len(res.Migrations) != 1 {
-			t.Fatalf("%s: %d migrations, want 1", sc.Name, len(res.Migrations))
-		}
-		mig, wl := res.Migrations[0], res.Workloads["hog"]
-		if mig.Committed != pt.Committed || wl.Migrated != pt.Migrated || wl.LiveCopies != pt.LiveCopies {
-			t.Errorf("%s: committed/migrated/live = %v/%v/%d, sweep says %v/%v/%d",
-				sc.Name, mig.Committed, wl.Migrated, wl.LiveCopies,
-				pt.Committed, pt.Migrated, pt.LiveCopies)
-		}
-		if mig.Total != pt.Total || mig.Freeze != pt.Freeze {
-			t.Errorf("%s: total/freeze = %v/%v, sweep says %v/%v — the runs diverged",
-				sc.Name, mig.Total, mig.Freeze, pt.Total, pt.Freeze)
-		}
-	}
-}
-
-// TestA8TableEquivalence: same for the recovery sweep.
-func TestA8TableEquivalence(t *testing.T) {
-	const seed = 1
-	pts, err := experiments.A8FaultSweep(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := scenario.A8Tables(seed)
-	if len(tables) != len(pts) {
-		t.Fatalf("%d tables vs %d sweep cells", len(tables), len(pts))
-	}
-	for i, sc := range tables {
-		pt := pts[i]
-		res, err := scenario.Run(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		if !res.Passed() {
-			t.Fatalf("%s: %v", sc.Name, res.FirstViolation())
-		}
-		if len(res.Recoveries) != 1 {
-			t.Fatalf("%s: %d recoveries, want 1", sc.Name, len(res.Recoveries))
-		}
-		rec, wl := res.Recoveries[0], res.Workloads["hog"]
-		if rec.Checkpoints != pt.Checkpoints || rec.Resumed != pt.Resumed || wl.LiveCopies != pt.LiveCopies {
-			t.Errorf("%s: ckpts/resumed/live = %d/%v/%d, sweep says %d/%v/%d",
-				sc.Name, rec.Checkpoints, rec.Resumed, wl.LiveCopies,
-				pt.Checkpoints, pt.Resumed, pt.LiveCopies)
-		}
-		if rec.Recovery != pt.Recovery || rec.LostWork != pt.LostWork {
-			t.Errorf("%s: recovery/lostwork = %v/%v, sweep says %v/%v — the runs diverged",
-				sc.Name, rec.Recovery, rec.LostWork, pt.Recovery, pt.LostWork)
-		}
 	}
 }
 

@@ -8,20 +8,23 @@ import (
 	"procmig/internal/sim"
 )
 
-// This file re-expresses the hand-coded fault experiments as scenario
-// tables. The events mirror the bespoke drivers step for step — same
-// boot order, same sleeps, same poll cadences, same rmigrate argument
-// order — so a given seed produces the same PRNG draw sequence and
-// therefore the same per-seed outcome as the original. The equivalence
-// tests in tables_test.go hold the two implementations to that.
+// A7 and A8, the fault and recovery sweeps, are scenario tables. This
+// file is their one definition: the matrices, the per-cell seeds and
+// every step of a cell. migbench prints both figures from Run's results,
+// and the golden tests in scenario_test.go pin every cell's seed-1
+// numbers, so a change to a table's boot order, sleeps or PRNG draws
+// moves a pinned number.
+
+// cellSeed is the seed of a sweep's run-th cell (counting from 1).
+func cellSeed(seed uint64, run int) uint64 { return seed + uint64(run)*0x9e3779b9 }
 
 // A7Table is one cell of the A7 matrix (migration under network faults)
 // as a scenario: a memory hog on alpha migrated to beta by a client on
 // gamma while the migration ports drop/duplicate chunks, or while a
 // scripted crash takes beta down mid-transfer.
-func A7Table(label string, totalBytes, wsBytes, dropPct int, crash bool, seed uint64) *Scenario {
+func A7Table(totalBytes, wsBytes, dropPct int, crash bool, seed uint64) *Scenario {
 	sc := &Scenario{
-		Name:  fmt.Sprintf("a7-%s-drop%d-crash%v", label, dropPct, crash),
+		Name:  fmt.Sprintf("a7-%dK/%dK-drop%d-crash%v", totalBytes>>10, wsBytes>>10, dropPct, crash),
 		Seed:  seed,
 		Hosts: []string{"alpha", "beta", "gamma"},
 		Workloads: []Workload{
@@ -33,6 +36,8 @@ func A7Table(label string, totalBytes, wsBytes, dropPct int, crash bool, seed ui
 	ev(Event{Op: "await_ready", Workload: "hog"})
 	ev(Event{Op: "sleep", Dur: 2 * sim.Second})
 	if crash {
+		// The tenth stream-port message: past the hello and the first few
+		// chunks, well inside round one of the pre-copy for every A7 size.
 		ev(Event{Op: "crash_after", Host: "beta", Port: apps.MigdStreamPort, N: 10})
 	} else if dropPct > 0 {
 		for _, port := range []int{apps.MigdPort, apps.MigdPrecopyPort, apps.MigdStreamPort} {
@@ -47,16 +52,13 @@ func A7Table(label string, totalBytes, wsBytes, dropPct int, crash bool, seed ui
 	return sc
 }
 
-// A7Tables builds the whole A7 sweep with the same per-cell seed
-// derivation as experiments.A7FaultSweep — cell i of the sweep and
-// scenario i of this slice see identical worlds.
+// A7Tables builds the whole A7 sweep: two image sizes, kept small so the
+// table is cheap enough to run per commit, each under four chunk-drop
+// rates and one scripted crash.
 func A7Tables(seed uint64) []*Scenario {
-	sizes := []struct {
-		Label     string
-		Total, WS int
-	}{
-		{"64K/8K", 64 << 10, 8 << 10},
-		{"256K/16K", 256 << 10, 16 << 10},
+	sizes := []struct{ Total, WS int }{
+		{64 << 10, 8 << 10},
+		{256 << 10, 16 << 10},
 	}
 	drops := []int{0, 5, 10, 20}
 	var out []*Scenario
@@ -64,10 +66,10 @@ func A7Tables(seed uint64) []*Scenario {
 	for _, sz := range sizes {
 		for _, drop := range drops {
 			run++
-			out = append(out, A7Table(sz.Label, sz.Total, sz.WS, drop, false, seed+uint64(run)*0x9e3779b9))
+			out = append(out, A7Table(sz.Total, sz.WS, drop, false, cellSeed(seed, run)))
 		}
 		run++
-		out = append(out, A7Table(sz.Label, sz.Total, sz.WS, 0, true, seed+uint64(run)*0x9e3779b9))
+		out = append(out, A7Table(sz.Total, sz.WS, 0, true, cellSeed(seed, run)))
 	}
 	return out
 }
@@ -111,8 +113,8 @@ func A8Table(interval sim.Duration, dropPct int, seed uint64) *Scenario {
 	return sc
 }
 
-// A8Tables builds the whole A8 sweep with the same per-cell seed
-// derivation as experiments.A8FaultSweep.
+// A8Tables builds the whole A8 sweep: checkpoint intervals × control-plane
+// drop rates, one scripted crash each.
 func A8Tables(seed uint64) []*Scenario {
 	intervals := []sim.Duration{2 * sim.Second, 5 * sim.Second}
 	drops := []int{0, 10, 20}
@@ -121,7 +123,7 @@ func A8Tables(seed uint64) []*Scenario {
 	for _, iv := range intervals {
 		for _, drop := range drops {
 			run++
-			out = append(out, A8Table(iv, drop, seed+uint64(run)*0x9e3779b9))
+			out = append(out, A8Table(iv, drop, cellSeed(seed, run)))
 		}
 	}
 	return out

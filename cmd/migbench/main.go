@@ -142,8 +142,8 @@ func a11() error {
 	}
 	header(fmt.Sprintf("A11 — %d hosts, %d procs under churn: gossip membership + crash wave", r.Hosts, r.Procs))
 	fmt.Printf("%-44s %d peers/interval (up to k news summaries per beacon)\n", "gossip fanout k", r.GossipK)
-	fmt.Printf("%-44s %.0f (full mesh would be %.0f; %d boot syncs)\n",
-		"hb msgs/interval", r.HBMsgsPerInterval, r.FullMeshMsgsPerInterval, r.SyncMsgs)
+	fmt.Printf("%-44s %.0f (full mesh would be %.0f; %d boot syncs, %d sync bytes)\n",
+		"hb msgs/interval", r.HBMsgsPerInterval, r.FullMeshMsgsPerInterval, r.SyncMsgs, r.SyncBytes)
 	fmt.Printf("%-44s %d intervals\n", "membership converged in", r.ConvergedIn)
 	fmt.Printf("%-44s %d/%d suspected, %d/%d recovered\n",
 		"crash wave", r.WaveSuspected, r.WaveSize, r.WaveRecovered, r.WaveSize)

@@ -281,35 +281,46 @@ func (s *StoreSummary) MayContain(h uint64) bool {
 	return true
 }
 
+// Reset makes s an empty filter at generation gen sized for n keys —
+// ~10 bits a key, within [summaryMinBytes, StoreSummaryMaxBytes] — reusing
+// its bitmap storage when that is large enough. Add then records each key.
+// Reset and Add are the one Bloom builder: the page store's advertisement
+// and hbd's anti-entropy digest are both built with them.
+func (s *StoreSummary) Reset(gen uint32, n int) {
+	nbytes := min(max((n*summaryBitsPerEntry+7)/8, summaryMinBytes), StoreSummaryMaxBytes)
+	if cap(s.Bits) < nbytes {
+		s.Bits = make([]byte, nbytes)
+	} else {
+		s.Bits = s.Bits[:nbytes]
+		clear(s.Bits)
+	}
+	s.Gen, s.Entries, s.K = gen, uint32(n), summaryProbes
+}
+
+// Add records key h in the filter.
+func (s *StoreSummary) Add(h uint64) {
+	m := uint32(len(s.Bits)) * 8
+	for i := uint32(0); i < uint32(s.K); i++ {
+		idx := summaryProbe(h, i, m)
+		s.Bits[idx>>3] |= 1 << (idx & 7)
+	}
+}
+
 // Summary builds the store's current advertisement.
 func (ps *PageStore) Summary() *StoreSummary {
-	n := len(ps.entries)
-	nbytes := (n*summaryBitsPerEntry + 7) / 8
-	if nbytes < summaryMinBytes {
-		nbytes = summaryMinBytes
-	}
-	if nbytes > StoreSummaryMaxBytes {
-		nbytes = StoreSummaryMaxBytes
-	}
-	s := &StoreSummary{
-		Gen:     ps.gen,
-		Entries: uint32(n),
-		K:       summaryProbes,
-		Bits:    make([]byte, nbytes),
-	}
-	m := uint32(nbytes) * 8
+	s := &StoreSummary{}
+	s.Reset(ps.gen, len(ps.entries))
 	for h := range ps.entries {
-		for i := uint32(0); i < summaryProbes; i++ {
-			idx := summaryProbe(h, i, m)
-			s.Bits[idx>>3] |= 1 << (idx & 7)
-		}
+		s.Add(h)
 	}
 	return s
 }
 
-// Encode serializes a summary.
-func (s *StoreSummary) Encode() []byte {
-	b := make([]byte, 0, 15+len(s.Bits))
+// storeSummaryHeader is the encoded size of a summary less its bitmap.
+const storeSummaryHeader = 2 + 4 + 4 + 1 + 4
+
+// AppendTo serializes the summary onto b and returns the extended slice.
+func (s *StoreSummary) AppendTo(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, StoreSummaryMagic)
 	b = binary.BigEndian.AppendUint32(b, s.Gen)
 	b = binary.BigEndian.AppendUint32(b, s.Entries)
@@ -318,20 +329,38 @@ func (s *StoreSummary) Encode() []byte {
 	return append(b, s.Bits...)
 }
 
+// Encode serializes a summary into fresh storage.
+func (s *StoreSummary) Encode() []byte {
+	return s.AppendTo(make([]byte, 0, storeSummaryHeader+len(s.Bits)))
+}
+
 // DecodeStoreSummary parses a summary, validating every field before
 // consuming the bitmap: magic, a sane probe count, a bounded bitmap length
 // that matches what actually follows, and no trailing garbage. A summary
 // from the wire can make the source waste refs, never corrupt a restart,
 // but the decoder still refuses malformed input loudly.
 func DecodeStoreSummary(raw []byte) (*StoreSummary, error) {
-	r := &reader{buf: raw}
+	s, err := DecodeStoreSummaryView(raw)
+	if err != nil {
+		return nil, err
+	}
+	s.Bits = append([]byte(nil), s.Bits...)
+	return &s, nil
+}
+
+// DecodeStoreSummaryView is DecodeStoreSummary without the copy: the
+// summary's Bits alias raw, so decoding allocates nothing and the summary
+// is valid only while raw is. A bitmap length above StoreSummaryMaxBytes is
+// refused before a byte of the bitmap is read.
+func DecodeStoreSummaryView(raw []byte) (StoreSummary, error) {
+	r := reader{buf: raw}
 	if r.u16() != StoreSummaryMagic {
 		if r.err != nil {
-			return nil, r.err
+			return StoreSummary{}, r.err
 		}
-		return nil, ErrBadMagic
+		return StoreSummary{}, ErrBadMagic
 	}
-	s := &StoreSummary{}
+	var s StoreSummary
 	s.Gen = r.u32()
 	s.Entries = r.u32()
 	if b := r.take(1); b != nil {
@@ -339,17 +368,17 @@ func DecodeStoreSummary(raw []byte) (*StoreSummary, error) {
 	}
 	nbits := int(r.u32())
 	if r.err != nil {
-		return nil, r.err
+		return StoreSummary{}, r.err
 	}
 	if nbits > StoreSummaryMaxBytes || len(r.buf) != nbits {
-		return nil, ErrTruncated
+		return StoreSummary{}, ErrTruncated
 	}
 	if s.K == 0 || s.K > 16 {
-		return nil, ErrBadMagic
+		return StoreSummary{}, ErrBadMagic
 	}
-	s.Bits = append([]byte(nil), r.take(nbits)...)
+	s.Bits = r.take(nbits)
 	if r.err != nil {
-		return nil, r.err
+		return StoreSummary{}, r.err
 	}
 	return s, nil
 }

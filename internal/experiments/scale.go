@@ -76,6 +76,7 @@ type A11Result struct {
 	HBMsgsPerInterval       float64 `json:"hb_msgs_per_interval"`
 	FullMeshMsgsPerInterval float64 `json:"full_mesh_msgs_per_interval"`
 	SyncMsgs                int64   `json:"sync_msgs"`
+	SyncBytes               int64   `json:"sync_bytes"` // requests and replies on MemberSyncPort
 
 	// Behaviour.
 	ConvergedIn   int   `json:"converged_in_intervals"`
@@ -389,6 +390,9 @@ func A11Scale(cfg A11Config) (*A11Result, error) {
 	res.EventAllocs = st.EventAllocs
 	res.HeapMax = st.HeapMax
 	res.SyncMsgs = syncIn()
+	for _, h := range hosts {
+		res.SyncBytes += h.ClientBytes(ha.MemberSyncPort)
+	}
 	if res.Wall > 0 {
 		res.EventsPerSec = float64(st.Dispatched) / res.Wall
 		res.VirtualRatio = res.VirtualTime / res.Wall

@@ -20,8 +20,36 @@ func (g *Guard) NewestCheckpoint(source string, pid int) (*core.CommittedImage, 
 func (n *Node) HandleBeacon(raw []byte) []byte { return n.handleBeacon(nil, raw) }
 func (n *Node) HandleSync(raw []byte) []byte   { return n.handleSync(nil, raw) }
 
-// AppendSync encodes the node's anti-entropy payload as of now onto b.
-func (n *Node) AppendSync(b []byte, now sim.Time) []byte { return n.appendSync(b, now) }
+// AppendSyncRequest encodes the node's sync request onto b.
+func (n *Node) AppendSyncRequest(b []byte) []byte { return n.appendSyncRequest(b) }
+
+// SyncRequest encodes the sync request a node with beacon header hb and
+// table ms sends: a digest of ms salted with hb.Seq.
+func SyncRequest(hb *Heartbeat, ms *Membership) []byte {
+	var d core.StoreSummary
+	ms.digest(&d, hb.Seq)
+	return encodeSyncRequest(nil, hb, &d)
+}
+
+// EncodeSyncRequest and DecodeSyncRequest are the sync request codec; the
+// decoder runs as handleSync does, less a table to name the sender from.
+func EncodeSyncRequest(hb *Heartbeat, d *core.StoreSummary) []byte {
+	return encodeSyncRequest(nil, hb, d)
+}
+
+func DecodeSyncRequest(raw []byte) (*Heartbeat, core.StoreSummary, error) {
+	hb := &Heartbeat{}
+	d, err := decodeSyncRequest(raw, hb, nil)
+	if err != nil {
+		return nil, core.StoreSummary{}, err
+	}
+	return hb, d, nil
+}
+
+// MemberKey is a member's sync digest key under salt.
+func MemberKey(salt uint32, host string, inc uint32, suspect bool) uint64 {
+	return memberKey(salt, host, inc, suspect)
+}
 
 // ObserveHeartbeat runs hbd's receive path on raw against ms, as
 // handleBeacon does: the summaries stream into the table, then the sender

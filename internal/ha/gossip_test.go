@@ -6,6 +6,7 @@ import (
 
 	"procmig/internal/ha"
 	"procmig/internal/netsim"
+	"procmig/internal/obs"
 	"procmig/internal/sim"
 )
 
@@ -26,26 +27,28 @@ func (s *gossipSource) AppendProcStats(now sim.Time, dst []ha.ProcStat) []ha.Pro
 type gossipCluster struct {
 	eng   *sim.Engine
 	net   *netsim.Network
+	reg   *obs.Registry
 	hosts []*netsim.Host
 	nodes []*ha.Node
 	names []string
 }
 
 // bootGossip wires n synthetic hosts into one network, all running hbd
-// with default (auto) fanout, and seeds the engine PRNG.
+// with default (auto) fanout and counters in one registry, and seeds the
+// engine PRNG.
 func bootGossip(t testing.TB, n int, seed uint64) *gossipCluster {
 	t.Helper()
 	eng := sim.NewEngine()
 	eng.Seed(seed)
 	net := netsim.New(eng, 100*sim.Microsecond, 0) // latency-only: beacons are small
-	gc := &gossipCluster{eng: eng, net: net}
+	gc := &gossipCluster{eng: eng, net: net, reg: obs.NewRegistry()}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("h%03d", i)
 		gc.names = append(gc.names, name)
 		gc.hosts = append(gc.hosts, net.AddHost(name))
 	}
 	for i := 0; i < n; i++ {
-		node, err := ha.StartSource(eng, gc.hosts[i], &gossipSource{name: gc.names[i], load: i % 7}, nil, ha.Config{})
+		node, err := ha.StartSource(eng, gc.hosts[i], &gossipSource{name: gc.names[i], load: i % 7}, gc.reg.Scope(gc.names[i]), ha.Config{})
 		if err != nil {
 			t.Fatalf("StartSource %s: %v", gc.names[i], err)
 		}
@@ -65,6 +68,15 @@ func (gc *gossipCluster) stop() {
 	for _, n := range gc.nodes {
 		n.Stop()
 	}
+}
+
+// total sums one hbd counter over every host.
+func (gc *gossipCluster) total(counter string) int64 {
+	var sum int64
+	for _, name := range gc.names {
+		sum += gc.reg.Scope(name).Counter(counter).Value()
+	}
+	return sum
 }
 
 // runIntervals advances the cluster by k beacon intervals.
@@ -126,6 +138,32 @@ func TestGossipConvergence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGossipQuietClusterSendsNothing: only a state change is news, and
+// sync stops once a roster is complete, so a converged 60-host cluster in
+// which nothing fails piggybacks no summary and sends no sync for 30
+// intervals — every beacon is a bare header.
+func TestGossipQuietClusterSendsNothing(t *testing.T) {
+	const n = 60
+	gc := bootGossip(t, n, 9)
+	defer gc.stop()
+	gc.runIntervals(t, 12)
+	if got := gc.converged(gc.eng.Now()); got != n {
+		t.Fatalf("only %d/%d converged", got, n)
+	}
+	summaries, syncs, beacons := gc.total("hb.summaries_in"), gc.total("hb.syncs_out"), gc.total("hb.beacons_in")
+	gc.runIntervals(t, 30)
+	if d := gc.total("hb.beacons_in") - beacons; d < 30*n {
+		t.Fatalf("%d beacons in 30 intervals: the cluster was not beaconing", d)
+	}
+	if d := gc.total("hb.summaries_in") - summaries; d != 0 {
+		t.Fatalf("quiet cluster piggybacked %d summaries in 30 intervals, want 0", d)
+	}
+	if d := gc.total("hb.syncs_out") - syncs; d != 0 {
+		t.Fatalf("converged cluster sent %d syncs in 30 intervals, want 0", d)
+	}
+	t.Logf("bootstrap: %d summaries, %d syncs", summaries, syncs)
 }
 
 // TestGossipSuspectedExactlyOnce: a partitioned host transitions
@@ -202,10 +240,7 @@ func TestGossipSilenceAloneNeverSuspects(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			gc := bootGossip(t, n, 5)
 			defer gc.stop()
-			// Settle past the bootstrap join backlog: a join summary carries
-			// the member's current liveness, and one beacon per interval pays
-			// out k of a node's ~N·k queued join retransmissions, so joins
-			// keep refreshing liveness for ~N intervals.
+			// Settle well past bootstrap.
 			gc.runIntervals(t, 40)
 			if got := gc.converged(gc.eng.Now()); got != n {
 				t.Fatalf("pre-fault: only %d/%d converged", got, n)

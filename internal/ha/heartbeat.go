@@ -8,9 +8,13 @@
 //     cluster that small) chosen by a deterministic shuffle of the engine
 //     PRNG — O(N·k) messages per interval instead of O(N²). Each beacon
 //     doubles as a probe: a failed one suspects the peer. Beacons
-//     piggyback up to k summaries of news (joins, suspicions, refutations,
-//     rebirths), which reaches everyone in O(log N / log k) intervals.
-//     There is no timeout at any cluster size.
+//     piggyback up to k summaries of news — state changes only:
+//     suspicions, refutations, rebirths — which reaches everyone in
+//     O(log N / log k) intervals. There is no timeout at any cluster size.
+//     While a node's roster is incomplete it also pulls, once an interval,
+//     the members it lacks from a random peer: it sends a salted Bloom
+//     digest of what it holds, and the reply carries only what the digest
+//     does not claim.
 //   - guardd (source role) takes periodic incremental checkpoints of
 //     processes registered for protection — the PR 1 dirty-page stream
 //     format reused as delta checkpoints — and spools them to a buddy
@@ -29,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"procmig/internal/core"
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
 	"procmig/internal/obs"
@@ -41,7 +46,7 @@ const (
 	HBPort         = 520 // hbd: heartbeat beacons
 	GuardPort      = 521 // guardd control verbs (release)
 	GuardSpoolPort = 522 // guardd checkpoint streams (netsim stream port)
-	MemberSyncPort = 523 // hbd anti-entropy: full member-state push-pull
+	MemberSyncPort = 523 // hbd anti-entropy: digest-then-delta roster pull
 )
 
 // HeartbeatMagic continues the paper's octal numbering: 444 stack, 445
@@ -361,6 +366,7 @@ type Node struct {
 	encBuf []byte // beacon and sync encode buffer
 	txHB   Heartbeat
 	rxHB   Heartbeat
+	digest core.StoreSummary // sync request digest
 
 	cBeaconsOut *obs.Counter
 	cBeaconsIn  *obs.Counter
@@ -585,16 +591,19 @@ func (n *Node) beaconLoop(t *sim.Task) {
 	}
 }
 
-// syncExchange is boot-time anti-entropy: push the full local member
-// state to one random peer and pull its state back from the reply.
-// Per-beacon piggybacking alone leaves a coupon-collector tail — a node
-// needs one fresh summary per peer but receives random ones, so the last
-// few peers take ~N·lnN/(k·p) intervals to show up. Push-pull full-state
-// exchange closes that tail in O(log N) rounds, and the beaconLoop guard
-// stops it once the roster is complete, so its steady-state cost is zero.
+// syncExchange is boot-time anti-entropy, a digest-then-delta pull in the
+// Scuttlebutt mold: send one random peer this node's header and a Bloom
+// digest of its roster, and fold in the reply — the members the digest did
+// not claim. Per-beacon piggybacking carries only state changes, and
+// direct beacons reach k peers an interval, so without sync the last few
+// peers would take ~N/k intervals to show up; pulling closes the roster
+// in O(log N) rounds, and the beaconLoop guard stops it once the roster is
+// complete, so its steady-state cost is zero. The digest is salted with
+// this beacon's sequence number: a false positive hides a missing member
+// for one exchange, never for every peer forever.
 func (n *Node) syncExchange(t *sim.Task) {
 	peer := n.peers[int(n.eng.Rand()%uint64(len(n.peers)))]
-	raw := n.appendSync(n.encBuf[:0], t.Now())
+	raw := n.appendSyncRequest(n.encBuf[:0])
 	n.encBuf = raw
 	if n.cSyncs != nil {
 		n.cSyncs.Inc()
@@ -612,28 +621,67 @@ func (n *Node) syncExchange(t *sim.Task) {
 	n.members.Observe(&n.rxHB, rnow)
 }
 
-// handleSync is the MemberSyncPort listener: fold the pushed state in,
-// then reply with everything we know — the pull half of push-pull. The
-// reply is freshly allocated, at its exact size: the caller reads it after
-// this handler returns, possibly after another sync has reused any shared
-// scratch.
+// handleSync is the MemberSyncPort listener: fold the asker's header in,
+// then reply with our header and every member the asker's digest does not
+// claim, in name order. The reply is freshly allocated, at its exact size
+// (a first pass over the roster picks the members): the caller reads it
+// after this handler returns, possibly after another sync has reused any
+// shared scratch.
 func (n *Node) handleSync(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	if _, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now); err != nil {
+	d, err := decodeSyncRequest(raw, &n.rxHB, n.members)
+	if err != nil {
 		return nil
 	}
 	n.members.Observe(&n.rxHB, now)
-	size := hbHeaderWire + len(n.src.HostName()) + n.members.summaryBlockSize()
-	return n.appendSync(make([]byte, 0, size), now)
+	miss := n.members.missing(&d, n.rxHB.Host)
+	hb := n.syncHeader()
+	b := hb.AppendTo(make([]byte, 0, hbHeaderWire+len(hb.Host)+summaryBlockSize(miss)))
+	return n.members.appendSummaryBlock(b, miss, now)
 }
 
-// appendSync encodes the anti-entropy payload onto b: a beacon with no
-// proc block whose summaries are every known member, self included, in
-// name order, written straight from the member table.
-func (n *Node) appendSync(b []byte, now sim.Time) []byte {
-	hb := Heartbeat{Host: n.src.HostName(), Seq: n.seq, Inc: n.inc, Load: n.src.RunQueueLen()}
-	b = hb.AppendTo(b)
-	return n.members.appendSummaryBlock(b, now)
+// appendSyncRequest encodes this node's sync request onto b: its header,
+// then a digest of its roster salted with its beacon sequence number.
+func (n *Node) appendSyncRequest(b []byte) []byte {
+	hb := n.syncHeader()
+	n.members.digest(&n.digest, hb.Seq)
+	return encodeSyncRequest(b, &hb, &n.digest)
+}
+
+// syncHeader is the beacon header both halves of a sync carry: no proc
+// block, no news.
+func (n *Node) syncHeader() Heartbeat {
+	return Heartbeat{Host: n.src.HostName(), Seq: n.seq, Inc: n.inc, Load: n.src.RunQueueLen()}
+}
+
+var errBadSyncRequest = errors.New("ha: bad sync request")
+
+// encodeSyncRequest encodes a sync request onto b: hb's header — its proc
+// block and summaries must be empty — then the digest d in the page-store
+// summary encoding, whose Gen is the salt.
+func encodeSyncRequest(b []byte, hb *Heartbeat, d *core.StoreSummary) []byte {
+	return d.AppendTo(hb.AppendTo(b))
+}
+
+// decodeSyncRequest parses a sync request into hb (naming the sender with
+// ms's copy of a known host, as decodeHBMain does) and returns its digest,
+// whose bitmap aliases raw. It accepts only what encodeSyncRequest writes:
+// a header with an empty proc block, then exactly one digest and nothing
+// after it. The digest's bitmap may be at most core.StoreSummaryMaxBytes
+// long, and a longer claimed length is refused before the bitmap is read.
+func decodeSyncRequest(raw []byte, hb *Heartbeat, ms *Membership) (core.StoreSummary, error) {
+	p, err := decodeHBMain(raw, hb, ms)
+	if err != nil {
+		return core.StoreSummary{}, err
+	}
+	if len(hb.Procs) != 0 {
+		return core.StoreSummary{}, errBadSyncRequest
+	}
+	d, err := core.DecodeStoreSummaryView(raw[p:])
+	if err != nil {
+		return core.StoreSummary{}, errBadSyncRequest
+	}
+	return d, nil
 }
 
 // ceilLog2 returns ⌈log₂ n⌉ (0 for n ≤ 1).

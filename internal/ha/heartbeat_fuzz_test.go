@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"procmig/internal/core"
 	"procmig/internal/ha"
 	"procmig/internal/sim"
 )
@@ -84,6 +85,45 @@ func FuzzObserveHeartbeat(f *testing.F) {
 			if _, ok := ms.LastHeard(s.Host); !ok && s.Host != self {
 				t.Fatalf("summarized host %q not in the table", s.Host)
 			}
+		}
+	})
+}
+
+// FuzzDecodeSyncRequest throws arbitrary bytes at the anti-entropy sync
+// request decoder. Requests arrive over the (fault-injected) network, so
+// the decoder must never panic, must refuse a digest longer than
+// core.StoreSummaryMaxBytes before reading it, and must accept only
+// canonical input: every request it accepts re-encodes to exactly the
+// bytes it was decoded from.
+func FuzzDecodeSyncRequest(f *testing.F) {
+	ms := ha.NewMembership("alpha")
+	ms.Observe(&ha.Heartbeat{Host: "bravo", Seq: 3, Inc: 1}, sim.Time(sim.Second))
+	ms.Suspect("charlie", sim.Time(2*sim.Second))
+	raw := ha.SyncRequest(&ha.Heartbeat{Host: "alpha", Seq: 42, Inc: 2, Load: 3}, ms)
+	f.Add(raw)
+	f.Add(raw[:len(raw)-1])
+	f.Add(raw[:3])
+	f.Add([]byte{})
+	f.Add(append(append([]byte{}, raw...), 0)) // trailing garbage
+	f.Add(ha.SyncRequest(&ha.Heartbeat{Host: "x"}, ha.NewMembership("x")))
+	hdr := (&ha.Heartbeat{Host: "alpha", Seq: 42}).Encode()
+	f.Add(append(append([]byte{}, hdr...), 0o451>>8, 0o451&0xff, 0, 0, 0, 0, 0, 0, 0, 1, 7, 0xff, 0xff, 0xff, 0xff)) // digest length lies upward
+	withProcs := (&ha.Heartbeat{Host: "alpha", Procs: []ha.ProcStat{{PID: 1}}}).Encode()
+	f.Add(append(withProcs, raw[len(hdr):]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hb, d, err := ha.DecodeSyncRequest(data)
+		if err != nil {
+			return
+		}
+		if len(d.Bits) > core.StoreSummaryMaxBytes {
+			t.Fatalf("accepted a %d-byte digest, cap %d", len(d.Bits), core.StoreSummaryMaxBytes)
+		}
+		// Probing an accepted digest must be total.
+		for i := uint64(0); i < 16; i++ {
+			d.MayContain(i * 2654435761)
+		}
+		if again := ha.EncodeSyncRequest(hb, &d); !bytes.Equal(again, data) {
+			t.Fatalf("accepted sync request does not round-trip:\n %x\nre-encoded\n %x", data, again)
 		}
 	})
 }

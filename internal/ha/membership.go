@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"procmig/internal/core"
 	"procmig/internal/sim"
 )
 
@@ -16,40 +17,30 @@ import (
 // ways — a suspect may be merely partitioned (the guardian arbitrates
 // before acting) and a fresh member may have just crashed.
 //
+// Only state changes are news, as in SWIM: a suspicion, a refutation, a
+// rebirth. Learning of a member is not — the host set is fixed by
+// SetPeers, and boot-time anti-entropy sync pulls whatever the roster
+// lacks — so a converged, quiet cluster piggybacks nothing at all.
+//
 // The table is built for 1,000-host clusters: states are updated in place
 // (no per-beacon allocation once a member is known), reads go through
-// ViewInto/Get without copying proc lists anew each call, and news queues
-// select which members to gossip about in O(k).
+// ViewInto/Get without copying proc lists anew each call, and the news
+// queue selects which members to gossip about in O(k).
 type Membership struct {
 	self    string
 	members map[string]*memberState
 	byName  []*memberState // sorted by host name
 	budget  int            // per-item retransmission budget
 	mark    uint64         // appendGossip call stamp, for O(1) dedupe
-	// Two FIFOs of members with unspent retransmission budget. Explicit
-	// queues — not a recency scan — are what make dissemination survive
-	// scale: a node digests hundreds of summaries per interval, so any
-	// "recent updates" window has churned completely between two of its
-	// own beacons, and news adopted early in an interval would silently
-	// fall out of a windowed scan before it was ever forwarded. The
-	// queues are tiered because their backlogs differ by orders of
-	// magnitude: qUrgent carries alive-state transitions (suspicions,
-	// refutations — rare, and every interval of delay costs detection
-	// latency), qJoin carries roster news (N items at bootstrap, drained
-	// at k slots per interval, so it can lag for many intervals).
-	// Draining urgent first keeps a crash wave epidemic even while the
-	// join backlog is still paying out.
-	qs [2]newsQueue
-}
-
-const (
-	qUrgent = 0
-	qJoin   = 1
-)
-
-type newsQueue struct {
-	q    []*memberState
-	head int
+	// news is the FIFO of members with unspent retransmission budget. An
+	// explicit queue — not a recency scan — is what makes dissemination
+	// survive scale: a node digests hundreds of summaries per interval, so
+	// any "recent updates" window has churned completely between two of
+	// its own beacons, and news adopted early in an interval would
+	// silently fall out of a windowed scan before it was ever forwarded.
+	news []*memberState
+	head int            // news[head:] is the queue
+	miss []*memberState // missing's scratch, reused across syncs
 }
 
 type memberState struct {
@@ -79,8 +70,8 @@ type memberState struct {
 	censusAt  sim.Time // when procs was last refreshed by a direct beacon
 	markGen   uint64   // last appendGossip call that included this member
 	// gossipLeft is the remaining retransmission budget for this member's
-	// latest news: granted on state changes — a join, a suspicion, a
-	// refutation, a rebirth — and spent once per beacon the member is
+	// latest news: granted on state changes — a suspicion, a refutation, a
+	// rebirth — and spent once per beacon the member is
 	// summarized in. Budgeted retransmission is what makes dissemination
 	// an epidemic (each hop re-broadcasts to fanout peers) rather than a
 	// subcritical recency race. Routine liveness advances deliberately earn
@@ -88,7 +79,7 @@ type memberState struct {
 	// and budgeting them would keep all N members contending for the
 	// piggyback slots that state changes need.
 	gossipLeft int
-	inQueue    [2]bool // sitting in qs[qUrgent] / qs[qJoin]
+	inQueue    bool // sitting in the news queue
 }
 
 // Member is one row of the view at a given instant.
@@ -148,57 +139,16 @@ func (ms *Membership) state(host string) *memberState {
 	return st
 }
 
-// grant (re)arms st's retransmission budget and enqueues it for the next
-// beacons' piggyback slots — on the urgent tier for alive-state
-// transitions, the join tier for roster news. Re-granting while queued
-// just refreshes the budget; each queue holds a member at most once, but
-// a member may sit in both (a known host that gets suspected while its
-// join is still paying out): the budget is shared and a summary always
-// carries current state, so the duplicate costs a slot, never a lie.
-func (ms *Membership) grant(which int, st *memberState) {
+// grant (re)arms st's retransmission budget for an alive-state
+// transition and enqueues it for the next beacons' piggyback slots.
+// Re-granting while queued just refreshes the budget: the queue holds a
+// member at most once, and a summary always carries current state.
+func (ms *Membership) grant(st *memberState) {
 	st.gossipLeft = ms.budget
-	if !st.inQueue[which] {
-		st.inQueue[which] = true
-		ms.qs[which].q = append(ms.qs[which].q, st)
+	if !st.inQueue {
+		st.inQueue = true
+		ms.news = append(ms.news, st)
 	}
-}
-
-// drain moves news from one queue into dst until dst holds p summaries
-// past base. An item still holding budget after inclusion rotates to the tail,
-// so concurrent pieces of news share the slots fairly; a spent item is
-// dropped. Hitting an item already included in this very appendGossip
-// call means the queue has wrapped — stop rather than duplicate.
-func (ms *Membership) drain(which int, dst []MemberSummary, base, p int, now sim.Time) []MemberSummary {
-	nq := &ms.qs[which]
-	for len(dst)-base < p && nq.head < len(nq.q) {
-		st := nq.q[nq.head]
-		if st.markGen == ms.mark {
-			break
-		}
-		nq.q[nq.head] = nil
-		nq.head++
-		if st.host == ms.self || st.gossipLeft <= 0 {
-			st.inQueue[which] = false
-			continue
-		}
-		st.gossipLeft--
-		st.markGen = ms.mark
-		dst = append(dst, ms.summarize(st, now))
-		if st.gossipLeft > 0 {
-			nq.q = append(nq.q, st)
-		} else {
-			st.inQueue[which] = false
-		}
-	}
-	if nq.head == len(nq.q) {
-		nq.q = nq.q[:0]
-		nq.head = 0
-	} else if nq.head >= 64 && 2*nq.head >= len(nq.q) {
-		n := copy(nq.q, nq.q[nq.head:])
-		nq.q = nq.q[:n]
-		nq.head = 0
-	}
-	return dst
 }
 
 // Observe folds one directly received heartbeat into the table. Stale
@@ -222,19 +172,16 @@ func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
 		st.inc = hb.Inc
 		st.seq = 0
 		if known {
-			ms.grant(qUrgent, st)
+			ms.grant(st)
 		}
 	}
 	if st.suspected {
 		// A direct beacon is proof of life: refute, and make the good news
 		// spread as fast as the suspicion did.
 		st.suspected = false
-		ms.grant(qUrgent, st)
+		ms.grant(st)
 	}
 	if now > st.lastHeard {
-		if !known {
-			ms.grant(qJoin, st) // a join is news; a routine beacon is not
-		}
 		st.lastHeard = now
 	}
 	if known && hb.Seq <= st.seq {
@@ -259,7 +206,7 @@ func (ms *Membership) Suspect(host string, now sim.Time) {
 	}
 	st.suspected = true
 	st.suspectAt = now
-	ms.grant(qUrgent, st)
+	ms.grant(st)
 }
 
 // ObserveSummary folds one gossiped third-party summary into the table.
@@ -311,7 +258,7 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		st.seq = 0
 		if st.suspected && !suspect {
 			st.suspected = false
-			ms.grant(qUrgent, st)
+			ms.grant(st)
 		}
 	}
 	if suspect {
@@ -322,22 +269,19 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		if !st.suspected && heard > st.lastHeard {
 			st.suspected = true
 			st.suspectAt = heard
-			ms.grant(qUrgent, st)
+			ms.grant(st)
 		}
 		return
 	}
 	if st.suspected && heard > st.suspectAt {
 		st.suspected = false
-		ms.grant(qUrgent, st)
+		ms.grant(st)
 	}
 	if heard > st.lastHeard {
-		// A join is news; a routine liveness advance is not, and gets no
-		// retransmission budget: nothing times out, and budgeting it would
-		// keep all N members perpetually competing for the piggyback slots
-		// that genuine state changes (joins, suspicions, refutations) need.
-		if !known {
-			ms.grant(qJoin, st)
-		}
+		// A liveness advance is not news and gets no retransmission
+		// budget — nor does learning of a member at all: nothing times out,
+		// and budgeting either would keep members competing for the
+		// piggyback slots that genuine state changes need.
 		st.lastHeard = heard
 	}
 	if !known || seq > st.seq {
@@ -346,42 +290,128 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 	}
 }
 
-// appendGossip appends up to p summaries of budgeted news to dst: urgent
-// alive-state transitions (suspicions, refutations, rebirths) first, then
-// joins. A quiet cluster piggybacks nothing. Self is skipped — the
-// enclosing beacon already carries it.
+// appendGossip appends up to p summaries of budgeted news — suspicions,
+// refutations, rebirths — to dst. A quiet cluster piggybacks nothing.
+// Self is skipped: the enclosing beacon already carries it. An item still
+// holding budget after inclusion rotates to the tail, so concurrent pieces
+// of news share the slots fairly; a spent item is dropped. Hitting an item
+// already included in this very call means the queue has wrapped — stop
+// rather than duplicate.
 func (ms *Membership) appendGossip(dst []MemberSummary, p int, now sim.Time) []MemberSummary {
 	if p <= 0 {
 		return dst
 	}
 	ms.mark++
 	base := len(dst)
-	dst = ms.drain(qUrgent, dst, base, p, now)
-	return ms.drain(qJoin, dst, base, p, now)
+	for len(dst)-base < p && ms.head < len(ms.news) {
+		st := ms.news[ms.head]
+		if st.markGen == ms.mark {
+			break
+		}
+		ms.news[ms.head] = nil
+		ms.head++
+		if st.host == ms.self || st.gossipLeft <= 0 {
+			st.inQueue = false
+			continue
+		}
+		st.gossipLeft--
+		st.markGen = ms.mark
+		dst = append(dst, ms.summarize(st, now))
+		if st.gossipLeft > 0 {
+			ms.news = append(ms.news, st)
+		} else {
+			st.inQueue = false
+		}
+	}
+	if ms.head == len(ms.news) {
+		ms.news = ms.news[:0]
+		ms.head = 0
+	} else if ms.head >= 64 && 2*ms.head >= len(ms.news) {
+		n := copy(ms.news, ms.news[ms.head:])
+		ms.news = ms.news[:n]
+		ms.head = 0
+	}
+	return dst
 }
 
-// appendSummaryBlock encodes one summary per known member — self included
-// — in name order as a heartbeat summary block: the full-state payload for
-// anti-entropy sync. An empty table writes nothing, as AppendTo omits an
-// empty block.
-func (ms *Membership) appendSummaryBlock(b []byte, now sim.Time) []byte {
-	if len(ms.byName) == 0 {
+// memberKey is a member's key in a sync digest: its host name,
+// incarnation and suspicion flag under salt. A responder returns a member
+// whenever its own key for it is absent from the asker's digest, so the
+// asker gets it both when it lacks the member and when it holds another
+// incarnation or suspicion state. The salt changes every exchange and
+// mixes through every bit, so a Bloom false positive that hides a member
+// in one exchange is an independent draw in the next. Pure arithmetic: no
+// seed from the process or the clock, so runs replay.
+func memberKey(salt uint32, host string, inc uint32, suspect bool) uint64 {
+	h := mix64(hashName(host) ^ uint64(salt)*0x9e3779b97f4a7c15)
+	v := uint64(inc) << 1
+	if suspect {
+		v |= 1
+	}
+	return mix64(h ^ v)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// digest builds into d the Bloom filter of every member but self, salted
+// with salt (carried as d.Gen): the asker's half of anti-entropy sync.
+func (ms *Membership) digest(d *core.StoreSummary, salt uint32) {
+	n := len(ms.byName)
+	if _, ok := ms.members[ms.self]; ok {
+		n--
+	}
+	d.Reset(salt, n)
+	for _, st := range ms.byName {
+		if st.host != ms.self {
+			d.Add(memberKey(salt, st.host, st.inc, st.suspected))
+		}
+	}
+}
+
+// missing returns, in name order, the members whose key under d's salt d
+// does not claim — what the asker lacks or holds in another state — less
+// self and the asker, whose own beacon headers speak for them. The slice
+// is scratch, valid until the next call.
+func (ms *Membership) missing(d *core.StoreSummary, asker string) []*memberState {
+	out := ms.miss[:0]
+	for _, st := range ms.byName {
+		if st.host == ms.self || st.host == asker || d.MayContain(memberKey(d.Gen, st.host, st.inc, st.suspected)) {
+			continue
+		}
+		out = append(out, st)
+	}
+	ms.miss = out
+	return out
+}
+
+// appendSummaryBlock encodes one summary per member of sts, in order, as a
+// heartbeat summary block: the payload of a sync reply. No members write
+// nothing, as AppendTo omits an empty block.
+func (ms *Membership) appendSummaryBlock(b []byte, sts []*memberState, now sim.Time) []byte {
+	if len(sts) == 0 {
 		return b
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ms.byName)))
-	for _, st := range ms.byName {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(sts)))
+	for _, st := range sts {
 		b = appendSummary(b, ms.summarize(st, now))
 	}
 	return b
 }
 
 // summaryBlockSize is the encoded size of appendSummaryBlock's output.
-func (ms *Membership) summaryBlockSize() int {
-	if len(ms.byName) == 0 {
+func summaryBlockSize(sts []*memberState) int {
+	if len(sts) == 0 {
 		return 0
 	}
 	size := 2
-	for _, st := range ms.byName {
+	for _, st := range sts {
 		size += summaryWire + len(st.host)
 	}
 	return size

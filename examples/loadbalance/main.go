@@ -107,15 +107,15 @@ func nightDemo() {
 			ns.Add("home", p.PID)
 		}
 		tk.Sleep(10 * sim.Second)
-		fmt.Printf("[%v] daytime placement: %v\n", sim.Duration(tk.Now()), ns.Placement(tk.Now()))
+		fmt.Printf("[%v] daytime placement: %v\n", sim.Duration(tk.Now()), ns.Placement())
 
 		ns.Nightfall(tk)
 		tk.Sleep(5 * sim.Second)
-		fmt.Printf("[%v] nightfall:          %v\n", sim.Duration(tk.Now()), ns.Placement(tk.Now()))
+		fmt.Printf("[%v] nightfall:          %v\n", sim.Duration(tk.Now()), ns.Placement())
 
 		ns.Daybreak(tk)
 		tk.Sleep(5 * sim.Second)
-		fmt.Printf("[%v] daybreak:           %v\n", sim.Duration(tk.Now()), ns.Placement(tk.Now()))
+		fmt.Printf("[%v] daybreak:           %v\n", sim.Duration(tk.Now()), ns.Placement())
 
 		// The hogs run forever; stop the simulation cleanly.
 		c.StopHA()

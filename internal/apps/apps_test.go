@@ -227,10 +227,10 @@ func TestNightScheduler(t *testing.T) {
 		tk.Sleep(10 * sim.Second)
 		ns.Nightfall(tk)
 		tk.Sleep(5 * sim.Second)
-		nightPlacement = ns.Placement(tk.Now())
+		nightPlacement = ns.Placement()
 		ns.Daybreak(tk)
 		tk.Sleep(5 * sim.Second)
-		dayPlacement = ns.Placement(tk.Now())
+		dayPlacement = ns.Placement()
 		// Clean up the infinite hogs.
 		c.StopHA()
 		for _, name := range c.Names() {

@@ -71,7 +71,7 @@ type MigrationEvent struct {
 // policy loop sampling a 1,000-host view every period allocates nothing;
 // the returned rows are a snapshot, stable until the buffer's next use.
 type LoadView interface {
-	ViewInto(now sim.Time, buf *ha.ViewBuf) []ha.Member
+	ViewInto(buf *ha.ViewBuf) []ha.Member
 }
 
 // Balancer implements the §8 load-balancing application: move CPU-bound
@@ -197,7 +197,7 @@ func (b *Balancer) migrate(t *sim.Task, src string, pid int, dst string) (int, e
 // Failed instead of being silently dropped.
 func (b *Balancer) Step(t *sim.Task) bool {
 	now := t.Now()
-	view := b.View.ViewInto(now, &b.viewBuf)
+	view := b.View.ViewInto(&b.viewBuf)
 	var busiest, idlest *ha.Member
 	for i := range view {
 		m := &view[i]

@@ -15,7 +15,7 @@ type fakeView struct {
 	Members []ha.Member
 }
 
-func (v *fakeView) ViewInto(_ sim.Time, _ *ha.ViewBuf) []ha.Member {
+func (v *fakeView) ViewInto(_ *ha.ViewBuf) []ha.Member {
 	out := make([]ha.Member, len(v.Members))
 	copy(out, v.Members)
 	return out

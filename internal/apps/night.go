@@ -51,8 +51,8 @@ func (ns *NightScheduler) Add(host string, pid int) {
 // refresh reconciles job entries against the view: a job whose pid moved
 // under it (a migration whose new pid we never learned) is found again
 // through the OldPID its restarted copy advertises.
-func (ns *NightScheduler) refresh(now sim.Time) []ha.Member {
-	view := ns.View.ViewInto(now, &ns.viewBuf)
+func (ns *NightScheduler) refresh() []ha.Member {
+	view := ns.View.ViewInto(&ns.viewBuf)
 	for _, j := range ns.jobs {
 		if !j.stale {
 			continue
@@ -83,9 +83,9 @@ func alive(view []ha.Member, j *nightJob) bool {
 	return false
 }
 
-// Running reports how many managed jobs the view shows alive at now.
-func (ns *NightScheduler) Running(now sim.Time) int {
-	view := ns.refresh(now)
+// Running reports how many managed jobs the view shows alive.
+func (ns *NightScheduler) Running() int {
+	view := ns.refresh()
 	n := 0
 	for _, j := range ns.jobs {
 		if !j.stale && alive(view, j) {
@@ -95,9 +95,9 @@ func (ns *NightScheduler) Running(now sim.Time) int {
 	return n
 }
 
-// Placement reports how many live jobs run on each machine at now.
-func (ns *NightScheduler) Placement(now sim.Time) map[string]int {
-	view := ns.refresh(now)
+// Placement reports how many live jobs the view shows on each machine.
+func (ns *NightScheduler) Placement() map[string]int {
+	view := ns.refresh()
 	out := map[string]int{}
 	for _, j := range ns.jobs {
 		if !j.stale && alive(view, j) {
@@ -135,7 +135,7 @@ func (ns *NightScheduler) moveJob(t *sim.Task, view []ha.Member, j *nightJob, ds
 
 // Nightfall spreads the managed jobs round-robin across all machines.
 func (ns *NightScheduler) Nightfall(t *sim.Task) {
-	view := ns.refresh(t.Now())
+	view := ns.refresh()
 	i := 0
 	for _, j := range ns.jobs {
 		if j.stale || !alive(view, j) {
@@ -148,7 +148,7 @@ func (ns *NightScheduler) Nightfall(t *sim.Task) {
 
 // Daybreak brings every managed job back to the home machine.
 func (ns *NightScheduler) Daybreak(t *sim.Task) {
-	view := ns.refresh(t.Now())
+	view := ns.refresh()
 	for _, j := range ns.jobs {
 		ns.moveJob(t, view, j, ns.Home)
 	}

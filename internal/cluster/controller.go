@@ -33,7 +33,7 @@ func (a *ctlActuator) View(now sim.Time, buf *ha.ViewBuf) []ha.Member {
 	if node == nil {
 		return nil
 	}
-	return node.Members().ViewInto(now, buf)
+	return node.Members().ViewInto(buf)
 }
 
 func (a *ctlActuator) Spawn(t *sim.Task, host, path string) (int, error) {

@@ -90,7 +90,7 @@ func TestRevivedHostRejoinsPlacement(t *testing.T) {
 			t.Error("controller still claims a replica on the crashed host")
 		}
 		var buf ha.ViewBuf
-		for _, m := range c.HA("a").Members().ViewInto(tk.Now(), &buf) {
+		for _, m := range c.HA("a").Members().ViewInto(&buf) {
 			if m.Host == "d" && m.Alive {
 				t.Error("crashed host still alive in the controller's view")
 			}
@@ -108,7 +108,7 @@ func TestRevivedHostRejoinsPlacement(t *testing.T) {
 			t.Errorf("revived host carries %d replicas, want 1 (the only legal placement)", n)
 		}
 		seen := false
-		for _, m := range c.HA("a").Members().ViewInto(tk.Now(), &buf) {
+		for _, m := range c.HA("a").Members().ViewInto(&buf) {
 			if m.Host == "d" {
 				seen = m.Alive
 			}

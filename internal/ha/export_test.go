@@ -39,7 +39,7 @@ func EncodeSyncRequest(hb *Heartbeat, d *core.StoreSummary) []byte {
 
 func DecodeSyncRequest(raw []byte) (*Heartbeat, core.StoreSummary, error) {
 	hb := &Heartbeat{}
-	d, err := decodeSyncRequest(raw, hb, nil)
+	_, d, err := decodeSyncRequest(raw, hb, nil)
 	if err != nil {
 		return nil, core.StoreSummary{}, err
 	}
@@ -48,7 +48,7 @@ func DecodeSyncRequest(raw []byte) (*Heartbeat, core.StoreSummary, error) {
 
 // MemberKey is a member's sync digest key under salt.
 func MemberKey(salt uint32, host string, inc uint32, suspect bool) uint64 {
-	return memberKey(salt, host, inc, suspect)
+	return memberKey(salt, hashName(host), inc, suspect)
 }
 
 // ObserveHeartbeat runs hbd's receive path on raw against ms, as
@@ -57,10 +57,28 @@ func MemberKey(salt uint32, host string, inc uint32, suspect bool) uint64 {
 // summaries were observed.
 func ObserveHeartbeat(ms *Membership, raw []byte, now sim.Time) (*Heartbeat, int, error) {
 	hb := &Heartbeat{}
-	ns, err := decodeHeartbeatObserve(raw, hb, ms, now)
+	ns, st, err := decodeHeartbeatObserve(raw, hb, ms, now)
 	if err != nil {
 		return nil, 0, err
 	}
-	ms.Observe(hb, now)
+	ms.observe(st, hb, now)
 	return hb, ns, nil
+}
+
+// HintedMembership is a table for self told, as SetPeers tells it, that
+// the cluster has roster members, self included.
+func HintedMembership(self string, roster int) *Membership {
+	ms := NewMembership(self)
+	ms.setGossipParams(1, roster)
+	return ms
+}
+
+// Missing names, in order, the members a sync reply from ms to asker
+// carries for digest d.
+func Missing(ms *Membership, d *core.StoreSummary, asker string) []string {
+	var out []string
+	for _, st := range ms.missing(d, asker) {
+		out = append(out, st.host)
+	}
+	return out
 }

@@ -383,7 +383,7 @@ func (gc *gossipCluster) digest(t *testing.T) string {
 	mix(uint64(gc.net.Messages))
 	var buf ha.ViewBuf
 	for _, node := range gc.nodes {
-		for _, m := range node.Members().ViewInto(now, &buf) {
+		for _, m := range node.Members().ViewInto(&buf) {
 			for i := 0; i < len(m.Host); i++ {
 				mix(uint64(m.Host[i]))
 			}

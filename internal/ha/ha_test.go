@@ -75,7 +75,7 @@ func TestMembershipSuspicion(t *testing.T) {
 	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 5, Load: 7}, sim.Time(56*sim.Second))
 	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 2, Load: 1}, sim.Time(57*sim.Second))
 	var buf ha.ViewBuf
-	v := ms.ViewInto(sim.Time(57*sim.Second), &buf)
+	v := ms.ViewInto(&buf)
 	if len(v) != 1 || v[0].Seq != 5 || v[0].Load != 7 {
 		t.Fatalf("stale beacon rolled state back: %+v", v)
 	}
@@ -90,7 +90,7 @@ func TestMembershipViewSorted(t *testing.T) {
 		ms.Observe(&ha.Heartbeat{Host: h, Seq: 1}, 0)
 	}
 	var buf ha.ViewBuf
-	v := ms.ViewInto(0, &buf)
+	v := ms.ViewInto(&buf)
 	if len(v) != 3 || v[0].Host != "alpha" || v[1].Host != "mid" || v[2].Host != "zeta" {
 		t.Fatalf("view not sorted: %+v", v)
 	}
@@ -135,7 +135,7 @@ func TestHeartbeatViewConverges(t *testing.T) {
 			t.Error(err)
 		}
 		tk.Sleep(5 * sim.Second)
-		view = c.HA("alpha").Members().ViewInto(tk.Now(), &buf)
+		view = c.HA("alpha").Members().ViewInto(&buf)
 		killAll(c)
 	})
 	if err := c.Run(); err != nil {

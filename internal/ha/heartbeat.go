@@ -161,7 +161,7 @@ func (hb *Heartbeat) Encode() []byte {
 // memory. Bad magic, truncation, and trailing garbage are rejected.
 func DecodeHeartbeat(raw []byte) (*Heartbeat, error) {
 	hb := &Heartbeat{}
-	p, err := decodeHBMain(raw, hb, nil)
+	p, _, err := decodeHBMain(raw, hb, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -189,21 +189,23 @@ func DecodeHeartbeat(raw []byte) (*Heartbeat, error) {
 }
 
 // decodeHBMain parses the fixed header, host and proc block, returning the
-// offset where the optional summary block begins. The sender's name is the
-// table's own copy when ms (which may be nil) already knows the host, so a
-// beacon from a known sender allocates no string.
-func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, error) {
+// offset where the optional summary block begins and the sender's state
+// when ms (which may be nil) already knows the host. The sender's name is
+// then the table's own copy, so a beacon from a known sender allocates no
+// string.
+func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, *memberState, error) {
 	if len(raw) < 18 {
-		return 0, errBadHeartbeat
+		return 0, nil, errBadHeartbeat
 	}
 	if binary.BigEndian.Uint16(raw) != HeartbeatMagic {
-		return 0, errBadHeartbeat
+		return 0, nil, errBadHeartbeat
 	}
 	hostLen := int(binary.BigEndian.Uint16(raw[2:]))
 	if len(raw) < 4+hostLen+14 {
-		return 0, errBadHeartbeat
+		return 0, nil, errBadHeartbeat
 	}
-	hb.Host = ms.name(raw[4 : 4+hostLen])
+	st, host := ms.sender(raw[4 : 4+hostLen])
+	hb.Host = host
 	p := 4 + hostLen
 	hb.Seq = binary.BigEndian.Uint32(raw[p:])
 	hb.Inc = binary.BigEndian.Uint32(raw[p+4:])
@@ -211,7 +213,7 @@ func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, error) {
 	n := int(binary.BigEndian.Uint16(raw[p+12:]))
 	p += 14
 	if len(raw)-p < n*procStatWire {
-		return 0, errBadHeartbeat
+		return 0, nil, errBadHeartbeat
 	}
 	hb.Procs = hb.Procs[:0]
 	for i := 0; i < n; i++ {
@@ -223,7 +225,7 @@ func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, error) {
 		})
 		p += procStatWire
 	}
-	return p, nil
+	return p, st, nil
 }
 
 // validateSummaries checks the whole summary block at offset p — count,
@@ -262,21 +264,22 @@ func validateSummaries(raw []byte, p int) (int, error) {
 
 // decodeHeartbeatObserve is the hbd hot path: identical wire validation to
 // DecodeHeartbeat, but summaries are streamed straight into the
-// membership — one map probe per entry, zero allocations for known hosts —
-// instead of being materialized on the Heartbeat. hb.Summaries is left
-// empty. Returns the number of summaries observed.
-func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.Time) (int, error) {
-	p, err := decodeHBMain(raw, hb, ms)
+// membership — one index probe per entry, zero allocations for known
+// hosts — instead of being materialized on the Heartbeat. hb.Summaries is
+// left empty. Returns the number of summaries observed and the sender's
+// state as the header decode resolved it, for Membership.observe.
+func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.Time) (int, *memberState, error) {
+	p, st, err := decodeHBMain(raw, hb, ms)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	hb.Summaries = hb.Summaries[:0]
 	if p == len(raw) {
-		return 0, nil
+		return 0, st, nil
 	}
 	ns, err := validateSummaries(raw, p)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	p += 2
 	for i := 0; i < ns; i++ {
@@ -290,7 +293,7 @@ func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.T
 			now-sim.Time(age), now)
 		p += 2 + hl + 21
 	}
-	return ns, nil
+	return ns, st, nil
 }
 
 // Config tunes one node's control-plane daemons. Zero values take the
@@ -437,11 +440,11 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 // handler never parks, so the scratch cannot be observed mid-update.
 func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	nsumm, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now)
+	nsumm, st, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now)
 	if err != nil {
 		return nil
 	}
-	n.members.Observe(&n.rxHB, now)
+	n.members.observe(st, &n.rxHB, now)
 	if n.cBeaconsIn != nil {
 		n.cBeaconsIn.Inc()
 		n.cSummaries.Add(int64(nsumm))
@@ -458,7 +461,7 @@ func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 func (n *Node) SetPeers(peers []string) {
 	n.peers = append(n.peers[:0], peers...)
 	n.fanout = min(ceilLog2(len(peers)+1)+2, len(peers))
-	n.members.setGossipParams(n.fanout)
+	n.members.setGossipParams(n.fanout, len(peers)+1)
 	n.pick = n.pick[:0]
 	for i := range n.peers {
 		n.pick = append(n.pick, i)
@@ -615,10 +618,11 @@ func (n *Node) syncExchange(t *sim.Task) {
 		return
 	}
 	rnow := n.now(t)
-	if _, err := decodeHeartbeatObserve(resp, &n.rxHB, n.members, rnow); err != nil {
+	_, st, err := decodeHeartbeatObserve(resp, &n.rxHB, n.members, rnow)
+	if err != nil {
 		return
 	}
-	n.members.Observe(&n.rxHB, rnow)
+	n.members.observe(st, &n.rxHB, rnow)
 }
 
 // handleSync is the MemberSyncPort listener: fold the asker's header in,
@@ -629,11 +633,11 @@ func (n *Node) syncExchange(t *sim.Task) {
 // shared scratch.
 func (n *Node) handleSync(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	d, err := decodeSyncRequest(raw, &n.rxHB, n.members)
+	st, d, err := decodeSyncRequest(raw, &n.rxHB, n.members)
 	if err != nil {
 		return nil
 	}
-	n.members.Observe(&n.rxHB, now)
+	n.members.observe(st, &n.rxHB, now)
 	miss := n.members.missing(&d, n.rxHB.Host)
 	hb := n.syncHeader()
 	b := hb.AppendTo(make([]byte, 0, hbHeaderWire+len(hb.Host)+summaryBlockSize(miss)))
@@ -664,24 +668,25 @@ func encodeSyncRequest(b []byte, hb *Heartbeat, d *core.StoreSummary) []byte {
 }
 
 // decodeSyncRequest parses a sync request into hb (naming the sender with
-// ms's copy of a known host, as decodeHBMain does) and returns its digest,
-// whose bitmap aliases raw. It accepts only what encodeSyncRequest writes:
+// ms's copy of a known host, as decodeHBMain does) and returns the
+// sender's state (nil if ms does not know it) and the digest, whose bitmap
+// aliases raw. It accepts only what encodeSyncRequest writes:
 // a header with an empty proc block, then exactly one digest and nothing
 // after it. The digest's bitmap may be at most core.StoreSummaryMaxBytes
 // long, and a longer claimed length is refused before the bitmap is read.
-func decodeSyncRequest(raw []byte, hb *Heartbeat, ms *Membership) (core.StoreSummary, error) {
-	p, err := decodeHBMain(raw, hb, ms)
+func decodeSyncRequest(raw []byte, hb *Heartbeat, ms *Membership) (*memberState, core.StoreSummary, error) {
+	p, st, err := decodeHBMain(raw, hb, ms)
 	if err != nil {
-		return core.StoreSummary{}, err
+		return nil, core.StoreSummary{}, err
 	}
 	if len(hb.Procs) != 0 {
-		return core.StoreSummary{}, errBadSyncRequest
+		return nil, core.StoreSummary{}, errBadSyncRequest
 	}
 	d, err := core.DecodeStoreSummaryView(raw[p:])
 	if err != nil {
-		return core.StoreSummary{}, errBadSyncRequest
+		return nil, core.StoreSummary{}, errBadSyncRequest
 	}
-	return d, nil
+	return st, d, nil
 }
 
 // ceilLog2 returns ⌈log₂ n⌉ (0 for n ≤ 1).
@@ -695,8 +700,9 @@ func ceilLog2(n int) int {
 }
 
 // hashName is a tiny FNV-1a over the host name, for deterministic phase
-// staggering and txn-id salting (no global state, no wall clock).
-func hashName(s string) uint64 {
+// staggering, txn-id salting and the membership index (no global state, no
+// wall clock). It takes the name as a string or as its raw wire bytes.
+func hashName[S string | []byte](s S) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

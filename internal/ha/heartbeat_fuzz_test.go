@@ -43,7 +43,10 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 // of materializing them, so it must accept exactly what DecodeHeartbeat
 // accepts, report the same sender fields, and leave the sender and every
 // summarized host in the table (the table's own host excepted: hearsay
-// never vouches for self).
+// never vouches for self). Each input also runs against a table hinted to
+// a 2-member roster, which any input naming more hosts pushes through
+// index growth and probe collisions; both tables must end up holding the
+// same rows.
 func FuzzObserveHeartbeat(f *testing.F) {
 	const self = "alpha"
 	good := &ha.Heartbeat{Host: "bravo", Seq: 42, Inc: 1, Load: 3,
@@ -84,6 +87,20 @@ func FuzzObserveHeartbeat(f *testing.F) {
 		for _, s := range summaries {
 			if _, ok := ms.LastHeard(s.Host); !ok && s.Host != self {
 				t.Fatalf("summarized host %q not in the table", s.Host)
+			}
+		}
+		small := ha.HintedMembership(self, 2)
+		if _, _, err := ha.ObserveHeartbeat(small, data, sim.Time(10*sim.Second)); err != nil {
+			t.Fatalf("hinted table rejects what the plain one accepted: %v", err)
+		}
+		var buf, smallBuf ha.ViewBuf
+		if got, want := small.ViewInto(&smallBuf), ms.ViewInto(&buf); !reflect.DeepEqual(got, want) {
+			t.Fatalf("hinted table holds %+v, plain one %+v", got, want)
+		}
+		for _, m := range ms.ViewInto(&buf) {
+			want, _ := ms.Get(m.Host, 0)
+			if got, ok := small.Get(m.Host, 0); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("hinted table's %q is %+v (known %v), want %+v", m.Host, got, ok, want)
 			}
 		}
 	})

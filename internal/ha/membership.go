@@ -26,12 +26,24 @@ import (
 // (no per-beacon allocation once a member is known), reads go through
 // ViewInto/Get without copying proc lists anew each call, and the news
 // queue selects which members to gossip about in O(k).
+//
+// Members are found through an open-addressed index rather than a Go
+// map: a power-of-two slice of state pointers, at most half full, probed
+// linearly from the low bits of the name's FNV-1a hash (cached on the
+// state, so a name is hashed once per table). The low bits, because
+// FNV-1a's high bits barely depend on a name's last bytes: names like
+// h0000…h0499 would pile into one run. SetPeers tells the table the roster size, and
+// the first member learned after it sizes the index and byName once for
+// the whole roster; a map instead grows from empty through every bucket
+// doubling on each of N nodes. Past that hint the index doubles. The index
+// is never iterated — byName is the only order anything observes.
 type Membership struct {
-	self    string
-	members map[string]*memberState
-	byName  []*memberState // sorted by host name
-	budget  int            // per-item retransmission budget
-	mark    uint64         // appendGossip call stamp, for O(1) dedupe
+	self   string
+	index  []*memberState // open-addressed by hashName(host); nil slots are free
+	byName []*memberState // sorted by host name
+	hint   int            // roster size from SetPeers: the first insertion sizes for it
+	budget int            // per-item retransmission budget
+	mark   uint64         // appendGossip call stamp, for O(1) dedupe
 	// news is the FIFO of members with unspent retransmission budget. An
 	// explicit queue — not a recency scan — is what makes dissemination
 	// survive scale: a node digests hundreds of summaries per interval, so
@@ -45,6 +57,7 @@ type Membership struct {
 
 type memberState struct {
 	host string
+	hash uint64 // hashName(host), computed once at first sight
 	seq  uint32
 	// inc is the freshest incarnation seen for this member. A revived host
 	// bumps its incarnation, so receivers can tell a rebirth (sequence
@@ -66,6 +79,7 @@ type memberState struct {
 	// never resurrect a dead member and observers see at most one
 	// alive→suspect transition per real failure.
 	suspected bool
+	inQueue   bool // sitting in the news queue
 	suspectAt sim.Time
 	censusAt  sim.Time // when procs was last refreshed by a direct beacon
 	markGen   uint64   // last appendGossip call that included this member
@@ -79,7 +93,6 @@ type memberState struct {
 	// and budgeting them would keep all N members contending for the
 	// piggyback slots that state changes need.
 	gossipLeft int
-	inQueue    bool // sitting in the news queue
 }
 
 // Member is one row of the view at a given instant.
@@ -109,34 +122,89 @@ type ViewBuf struct {
 }
 
 // NewMembership creates an empty table for the named host. Node.SetPeers
-// sizes its news budget once the cluster size is known.
+// sizes its news budget and its roster hint once the cluster size is
+// known.
 func NewMembership(self string) *Membership {
-	return &Membership{self: self, members: map[string]*memberState{}}
+	return &Membership{self: self}
 }
 
 // setGossipParams tunes dissemination: budget is how many beacons
 // re-broadcast one piece of news — the fanout ⌈log₂N⌉+2, after SWIM's
 // λ·log N rule: for an epidemic to reach all N members w.h.p. each adopter
-// must retransmit ~log N times.
-func (ms *Membership) setGossipParams(budget int) {
+// must retransmit ~log N times. roster is the cluster size, self included:
+// the next member learned sizes the table for it. Nothing is allocated
+// here, so starting a node costs the same whatever its cluster's size.
+func (ms *Membership) setGossipParams(budget, roster int) {
 	ms.budget = budget
+	ms.hint = roster
 }
 
 // Len reports how many members the table knows (including self, once
 // self-observed).
 func (ms *Membership) Len() int { return len(ms.byName) }
 
-func (ms *Membership) state(host string) *memberState {
-	st, ok := ms.members[host]
-	if !ok {
-		st = &memberState{host: host}
-		ms.members[host] = st
-		i := sort.Search(len(ms.byName), func(i int) bool { return ms.byName[i].host >= host })
-		ms.byName = append(ms.byName, nil)
-		copy(ms.byName[i+1:], ms.byName[i:])
-		ms.byName[i] = st
+// lookup returns host's state, or nil if the table has never heard of it.
+// host may be the name's raw wire bytes: comparing them to a stored name
+// copies nothing.
+func lookup[S string | []byte](ms *Membership, host S) *memberState {
+	if len(ms.index) == 0 {
+		return nil
 	}
+	h := hashName(host)
+	mask := uint64(len(ms.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if st := ms.index[i]; st == nil || st.hash == h && st.host == string(host) {
+			return st
+		}
+	}
+}
+
+// state returns host's state, adding the host if it is new.
+func (ms *Membership) state(host string) *memberState {
+	if st := lookup(ms, host); st != nil {
+		return st
+	}
+	return ms.insert(host)
+}
+
+// insert adds host, which the table does not hold, and returns its state.
+// The first insertion after setGossipParams sizes byName and the index
+// for the whole roster; past the hint, byName grows as append grows it
+// and the index doubles.
+func (ms *Membership) insert(host string) *memberState {
+	st := &memberState{host: host, hash: hashName(host)}
+	if cap(ms.byName) < ms.hint {
+		ms.byName = append(make([]*memberState, 0, ms.hint), ms.byName...)
+	}
+	if need := 2 * max(len(ms.byName)+1, ms.hint); len(ms.index) < need {
+		size := 1
+		for size < need {
+			size <<= 1
+		}
+		old := ms.index
+		ms.index = make([]*memberState, size)
+		for _, o := range old {
+			if o != nil {
+				ms.place(o)
+			}
+		}
+	}
+	ms.place(st)
+	i := sort.Search(len(ms.byName), func(i int) bool { return ms.byName[i].host >= host })
+	ms.byName = append(ms.byName, nil)
+	copy(ms.byName[i+1:], ms.byName[i:])
+	ms.byName[i] = st
 	return st
+}
+
+// place puts st in the first free index slot on its probe sequence.
+func (ms *Membership) place(st *memberState) {
+	mask := uint64(len(ms.index) - 1)
+	i := st.hash & mask
+	for ms.index[i] != nil {
+		i = (i + 1) & mask
+	}
+	ms.index[i] = st
 }
 
 // grant (re)arms st's retransmission budget for an alive-state
@@ -156,10 +224,19 @@ func (ms *Membership) grant(st *memberState) {
 // liveness — a delayed duplicate proves the sender was alive when it sent —
 // but never roll the advertised state backward. The proc list is copied
 // into the member's own storage, so callers may reuse hb.Procs.
-func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
-	st, known := ms.members[hb.Host]
+func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) { ms.observe(nil, hb, now) }
+
+// observe is Observe given the sender's state as the header decode
+// resolved it, so a beacon costs one lookup. A nil st means the sender
+// was unknown then; a summary in the same message may have added it
+// since, so it is looked up again.
+func (ms *Membership) observe(st *memberState, hb *Heartbeat, now sim.Time) {
+	if st == nil {
+		st = lookup(ms, hb.Host)
+	}
+	known := st != nil
 	if !known {
-		st = ms.state(hb.Host)
+		st = ms.insert(hb.Host)
 	}
 	if known && hb.Inc < st.inc {
 		return // a delayed beacon from a previous life proves nothing
@@ -219,25 +296,27 @@ func (ms *Membership) ObserveSummary(s MemberSummary, heard, now sim.Time) {
 	if s.Host == ms.self {
 		return // self-liveness comes from beaconing, not hearsay
 	}
-	st, known := ms.members[s.Host]
+	st := lookup(ms, s.Host)
+	known := st != nil
 	if !known {
-		st = ms.state(s.Host)
+		st = ms.insert(s.Host)
 	}
 	ms.observeSummary(st, known, s.Seq, s.Inc, s.Load, s.Suspect, heard, now)
 }
 
 // ObserveSummaryBytes is ObserveSummary keyed by the raw wire bytes of the
-// host name: the map probe compiles to a no-allocation lookup, so in steady
-// state (every host already known) processing a summary allocates nothing.
+// host name: the lookup copies nothing, so in steady state (every host
+// already known) processing a summary allocates nothing.
 // This is the hbd hot path — at N=1000 a node digests hundreds of
 // thousands of summaries per simulated second.
 func (ms *Membership) ObserveSummaryBytes(host []byte, seq, inc uint32, load int, suspect bool, heard, now sim.Time) {
 	if string(host) == ms.self {
 		return // self-liveness comes from beaconing, not hearsay
 	}
-	st, known := ms.members[string(host)]
+	st := lookup(ms, host)
+	known := st != nil
 	if !known {
-		st = ms.state(string(host))
+		st = ms.insert(string(host))
 	}
 	ms.observeSummary(st, known, seq, inc, load, suspect, heard, now)
 }
@@ -334,16 +413,17 @@ func (ms *Membership) appendGossip(dst []MemberSummary, p int, now sim.Time) []M
 	return dst
 }
 
-// memberKey is a member's key in a sync digest: its host name,
-// incarnation and suspicion flag under salt. A responder returns a member
+// memberKey is a member's key in a sync digest: its host name (by its
+// hashName, which the table caches per member), incarnation and suspicion
+// flag under salt. A responder returns a member
 // whenever its own key for it is absent from the asker's digest, so the
 // asker gets it both when it lacks the member and when it holds another
 // incarnation or suspicion state. The salt changes every exchange and
 // mixes through every bit, so a Bloom false positive that hides a member
 // in one exchange is an independent draw in the next. Pure arithmetic: no
 // seed from the process or the clock, so runs replay.
-func memberKey(salt uint32, host string, inc uint32, suspect bool) uint64 {
-	h := mix64(hashName(host) ^ uint64(salt)*0x9e3779b97f4a7c15)
+func memberKey(salt uint32, name uint64, inc uint32, suspect bool) uint64 {
+	h := mix64(name ^ uint64(salt)*0x9e3779b97f4a7c15)
 	v := uint64(inc) << 1
 	if suspect {
 		v |= 1
@@ -364,13 +444,13 @@ func mix64(x uint64) uint64 {
 // with salt (carried as d.Gen): the asker's half of anti-entropy sync.
 func (ms *Membership) digest(d *core.StoreSummary, salt uint32) {
 	n := len(ms.byName)
-	if _, ok := ms.members[ms.self]; ok {
+	if lookup(ms, ms.self) != nil {
 		n--
 	}
 	d.Reset(salt, n)
 	for _, st := range ms.byName {
 		if st.host != ms.self {
-			d.Add(memberKey(salt, st.host, st.inc, st.suspected))
+			d.Add(memberKey(salt, st.hash, st.inc, st.suspected))
 		}
 	}
 }
@@ -382,7 +462,7 @@ func (ms *Membership) digest(d *core.StoreSummary, salt uint32) {
 func (ms *Membership) missing(d *core.StoreSummary, asker string) []*memberState {
 	out := ms.miss[:0]
 	for _, st := range ms.byName {
-		if st.host == ms.self || st.host == asker || d.MayContain(memberKey(d.Gen, st.host, st.inc, st.suspected)) {
+		if st.host == ms.self || st.host == asker || d.MayContain(memberKey(d.Gen, st.hash, st.inc, st.suspected)) {
 			continue
 		}
 		out = append(out, st)
@@ -417,16 +497,16 @@ func summaryBlockSize(sts []*memberState) int {
 	return size
 }
 
-// name returns the table's copy of a host name, so decoding a known
-// host's name allocates nothing; an unknown name (or a nil table) is
-// copied.
-func (ms *Membership) name(b []byte) string {
+// sender resolves a beacon's sender name: the table's state and its copy
+// of the name, so decoding a known host's name allocates nothing. An
+// unknown name (or a nil table) is copied, with a nil state.
+func (ms *Membership) sender(b []byte) (*memberState, string) {
 	if ms != nil {
-		if st, ok := ms.members[string(b)]; ok {
-			return st.host
+		if st := lookup(ms, b); st != nil {
+			return st, st.host
 		}
 	}
-	return string(b)
+	return nil, string(b)
 }
 
 // summarize builds the gossip entry for one member. For a live member the
@@ -448,15 +528,15 @@ func (ms *Membership) summarize(st *memberState, now sim.Time) MemberSummary {
 // not suspected. Hosts never heard from are not alive. Nothing times out,
 // so the answer does not depend on now.
 func (ms *Membership) Alive(host string, now sim.Time) bool {
-	st, ok := ms.members[host]
-	return ok && !st.suspected
+	st := lookup(ms, host)
+	return st != nil && !st.suspected
 }
 
 // LastHeard returns when the named member last beaconed (0, false if
 // never).
 func (ms *Membership) LastHeard(host string) (sim.Time, bool) {
-	st, ok := ms.members[host]
-	if !ok {
+	st := lookup(ms, host)
+	if st == nil {
 		return 0, false
 	}
 	return st.lastHeard, true
@@ -467,8 +547,8 @@ func (ms *Membership) LastHeard(host string) (sim.Time, bool) {
 // from that member is observed, so callers must copy anything they need
 // across a park.
 func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
-	st, ok := ms.members[host]
-	if !ok {
+	st := lookup(ms, host)
+	if st == nil {
 		return Member{}, false
 	}
 	return Member{
@@ -485,7 +565,7 @@ func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 // snapshot is stable across parks (beacons arriving later mutate the
 // table, not buf) but is overwritten by the next ViewInto on the same buf.
 // At steady state the call performs zero allocations.
-func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
+func (ms *Membership) ViewInto(buf *ViewBuf) []Member {
 	total := 0
 	for _, st := range ms.byName {
 		total += len(st.procs)

@@ -1,8 +1,9 @@
 // Loadbalance: the paper's §8 load-balancing applications, wired to the
 // availability control plane (internal/ha). Every machine runs an hbd
-// beaconing liveness and run-queue load; the balancer and the night
-// scheduler read that disseminated view — never a peer's kernel — and
-// move jobs by driving the source machine's migration daemon remotely.
+// beaconing liveness and run-queue load and answering census queries; the
+// balancer and the night scheduler read that disseminated view and ask
+// hosts for their censuses — never a peer's kernel — and move jobs by
+// driving the source machine's migration daemon remotely.
 //
 // First the balancer: four CPU-bound jobs pile up on one workstation of a
 // three-machine network, and the balancer migrates them until the load is
@@ -57,10 +58,10 @@ func balancerDemo() {
 			}
 		}
 		// The balancer runs on w1 and knows the cluster only through w1's
-		// heartbeat view.
+		// heartbeat view and the censuses w1 asks for.
 		b := &apps.Balancer{
 			Host:   c.NetHost("w1"),
-			View:   c.HA("w1").Members(),
+			View:   c.HA("w1"),
 			Period: 5 * sim.Second,
 			MinAge: 2 * sim.Second,
 		}
@@ -95,7 +96,7 @@ func nightDemo() {
 	c.Eng.Go("driver", func(tk *sim.Task) {
 		ns := &apps.NightScheduler{
 			Host:     c.NetHost("home"),
-			View:     c.HA("home").Members(),
+			View:     c.HA("home"),
 			Home:     "home",
 			Machines: []string{"home", "w1", "w2"},
 		}
@@ -107,15 +108,15 @@ func nightDemo() {
 			ns.Add("home", p.PID)
 		}
 		tk.Sleep(10 * sim.Second)
-		fmt.Printf("[%v] daytime placement: %v\n", sim.Duration(tk.Now()), ns.Placement())
+		fmt.Printf("[%v] daytime placement: %v\n", sim.Duration(tk.Now()), ns.Placement(tk))
 
 		ns.Nightfall(tk)
 		tk.Sleep(5 * sim.Second)
-		fmt.Printf("[%v] nightfall:          %v\n", sim.Duration(tk.Now()), ns.Placement())
+		fmt.Printf("[%v] nightfall:          %v\n", sim.Duration(tk.Now()), ns.Placement(tk))
 
 		ns.Daybreak(tk)
 		tk.Sleep(5 * sim.Second)
-		fmt.Printf("[%v] daybreak:           %v\n", sim.Duration(tk.Now()), ns.Placement())
+		fmt.Printf("[%v] daybreak:           %v\n", sim.Duration(tk.Now()), ns.Placement(tk))
 
 		// The hogs run forever; stop the simulation cleanly.
 		c.StopHA()

@@ -173,7 +173,7 @@ func TestBalancerNoOpWhenBalanced(t *testing.T) {
 		h2, _ := c.Spawn("m2", nil, user, "/bin/hog")
 		b := &apps.Balancer{
 			Host:   c.NetHost("m1"),
-			View:   c.HA("m1").Members(),
+			View:   c.HA("m1"),
 			Period: 5 * sim.Second,
 			MinAge: sim.Second,
 		}

@@ -165,7 +165,7 @@ func TestBalancerSpreadsHogs(t *testing.T) {
 				// only through its heartbeat view.
 				b := &apps.Balancer{
 					Host:   c.NetHost("m2"),
-					View:   c.HA("m2").Members(),
+					View:   c.HA("m2"),
 					Period: 5 * sim.Second,
 					MinAge: 2 * sim.Second,
 				}
@@ -214,7 +214,7 @@ func TestNightScheduler(t *testing.T) {
 	c.Eng.Go("driver", func(tk *sim.Task) {
 		ns := &apps.NightScheduler{
 			Host:     c.NetHost("home"),
-			View:     c.HA("home").Members(),
+			View:     c.HA("home"),
 			Home:     "home",
 			Machines: []string{"home", "w1", "w2"},
 		}
@@ -227,10 +227,10 @@ func TestNightScheduler(t *testing.T) {
 		tk.Sleep(10 * sim.Second)
 		ns.Nightfall(tk)
 		tk.Sleep(5 * sim.Second)
-		nightPlacement = ns.Placement()
+		nightPlacement = ns.Placement(tk)
 		ns.Daybreak(tk)
 		tk.Sleep(5 * sim.Second)
-		dayPlacement = ns.Placement()
+		dayPlacement = ns.Placement(tk)
 		// Clean up the infinite hogs.
 		c.StopHA()
 		for _, name := range c.Names() {

@@ -66,12 +66,13 @@ type MigrationEvent struct {
 }
 
 // LoadView is what the policy layer knows about the cluster: the
-// membership table's disseminated heartbeat view. Both ha.Membership and
-// test fakes satisfy it. ViewInto fills the caller's scratch buffer so a
-// policy loop sampling a 1,000-host view every period allocates nothing;
-// the returned rows are a snapshot, stable until the buffer's next use.
+// membership table's disseminated heartbeat view, and the census a host
+// answers when asked. Both ha.Node and test fakes satisfy it. ViewInto
+// refills the caller's rows, so a policy loop sampling a 1,000-host view
+// every period allocates nothing.
 type LoadView interface {
-	ViewInto(buf *ha.ViewBuf) []ha.Member
+	ViewInto(dst []ha.Member) []ha.Member
+	Census(t *sim.Task, host string, dst []ha.ProcStat) ([]ha.ProcStat, error)
 }
 
 // Balancer implements the §8 load-balancing application: move CPU-bound
@@ -80,9 +81,9 @@ type LoadView interface {
 // certain amount of time", so the overhead of moving them pays off.
 //
 // The balancer is message-passing-honest: everything it knows about load
-// and processes comes from the heartbeat view, and it moves jobs by
-// driving the source machine's migd transaction remotely — it never
-// touches a peer's kernel structures.
+// comes from the heartbeat view, it asks only the busiest host for its
+// processes, and it moves jobs by driving the source machine's migd
+// transaction remotely — it never touches a peer's kernel structures.
 type Balancer struct {
 	Host   *netsim.Host // where the balancer runs; migrations are driven from here
 	View   LoadView
@@ -93,7 +94,7 @@ type Balancer struct {
 	MinImbalance int
 	// Cooldown blocks re-migrating a process that just arrived somewhere
 	// (anti-thrash hysteresis on top of MinAge — a restarted process has
-	// a fresh start time, but beacons lag). Defaults to 2×Period.
+	// a fresh start time, but the view's loads lag). Defaults to 2×Period.
 	Cooldown sim.Duration
 	// Skip vetoes candidates: a process for which it reports true is
 	// never migrated by the balancer. Wired to the cluster controller's
@@ -109,8 +110,9 @@ type Balancer struct {
 	// MigrateRemote through the source's migd.
 	Migrate func(t *sim.Task, src string, pid int, dst string) (int, error)
 
-	recent  map[string]sim.Time // "host/pid" -> arrival time of a recent move
-	viewBuf ha.ViewBuf          // scratch for the per-step view snapshot
+	recent map[string]sim.Time // "host/pid" -> arrival time of a recent move
+	rows   []ha.Member         // scratch for the per-step view snapshot
+	procs  []ha.ProcStat       // scratch for the busiest host's census
 }
 
 func cooldownKey(host string, pid int) string {
@@ -144,12 +146,12 @@ func (b *Balancer) cooldown() sim.Duration {
 	return 2 * b.Period
 }
 
-// candidate picks the migratable process advertised by member m: old
-// enough and mostly CPU-bound, judged purely from heartbeat statistics.
-func (b *Balancer) candidate(m *ha.Member, now sim.Time) *ha.ProcStat {
+// candidate picks the migratable process in member m's census procs: old
+// enough and mostly CPU-bound, judged purely from the census statistics.
+func (b *Balancer) candidate(m *ha.Member, procs []ha.ProcStat, now sim.Time) *ha.ProcStat {
 	var best *ha.ProcStat
-	for i := range m.Procs {
-		ps := &m.Procs[i]
+	for i := range procs {
+		ps := &procs[i]
 		if ps.Age < b.MinAge {
 			continue
 		}
@@ -197,7 +199,8 @@ func (b *Balancer) migrate(t *sim.Task, src string, pid int, dst string) (int, e
 // Failed instead of being silently dropped.
 func (b *Balancer) Step(t *sim.Task) bool {
 	now := t.Now()
-	view := b.View.ViewInto(&b.viewBuf)
+	view := b.View.ViewInto(b.rows)
+	b.rows = view
 	var busiest, idlest *ha.Member
 	for i := range view {
 		m := &view[i]
@@ -218,14 +221,18 @@ func (b *Balancer) Step(t *sim.Task) bool {
 	if busiest == nil || busiest == idlest || busiest.Load-idlest.Load < min {
 		return false
 	}
-	cand := b.candidate(busiest, now)
+	procs, err := b.View.Census(t, busiest.Host, b.procs)
+	b.procs = procs
+	if err != nil {
+		return false // no answer, no candidates: try again next period
+	}
+	cand := b.candidate(busiest, procs, now)
 	if cand == nil {
 		return false
 	}
-	ps := *cand // copy: the row points into viewBuf, and migrate parks
-	newPid, err := b.migrate(t, busiest.Host, ps.PID, idlest.Host)
+	newPid, err := b.migrate(t, busiest.Host, cand.PID, idlest.Host)
 	ev := MigrationEvent{
-		At: t.Now(), PID: ps.PID, New: newPid, From: busiest.Host, To: idlest.Host,
+		At: t.Now(), PID: cand.PID, New: newPid, From: busiest.Host, To: idlest.Host,
 	}
 	if err != nil {
 		ev.Err = err.Error()

@@ -2,6 +2,7 @@ package apps_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"procmig/internal/apps"
@@ -9,16 +10,26 @@ import (
 	"procmig/internal/sim"
 )
 
-// fakeView is a scriptable LoadView: tests mutate Members between steps
-// to play back whatever sequence of heartbeat views they need.
+// fakeView is a scriptable LoadView: tests mutate Members and Procs
+// between steps to play back whatever sequence of heartbeat views and
+// census answers they need. A host with no Procs entry does not answer.
 type fakeView struct {
 	Members []ha.Member
+	Procs   map[string][]ha.ProcStat
+	Asked   []string // every census query, in order
 }
 
-func (v *fakeView) ViewInto(_ *ha.ViewBuf) []ha.Member {
-	out := make([]ha.Member, len(v.Members))
-	copy(out, v.Members)
-	return out
+func (v *fakeView) ViewInto(dst []ha.Member) []ha.Member {
+	return append(dst[:0], v.Members...)
+}
+
+func (v *fakeView) Census(_ *sim.Task, host string, dst []ha.ProcStat) ([]ha.ProcStat, error) {
+	v.Asked = append(v.Asked, host)
+	procs, ok := v.Procs[host]
+	if !ok {
+		return dst[:0], errors.New("fake: no answer from " + host)
+	}
+	return append(dst[:0], procs...), nil
 }
 
 func cpuBound(pid, oldPid int, age sim.Duration) ha.ProcStat {
@@ -31,8 +42,11 @@ func cpuBound(pid, oldPid int, age sim.Duration) ha.ProcStat {
 func TestBalancerAntiThrash(t *testing.T) {
 	eng := sim.NewEngine()
 	view := &fakeView{Members: []ha.Member{
-		{Host: "a", Load: 3, Alive: true, Procs: []ha.ProcStat{cpuBound(10, 0, 20*sim.Second)}},
+		{Host: "a", Load: 3, Alive: true},
 		{Host: "b", Load: 1, Alive: true},
+	}, Procs: map[string][]ha.ProcStat{
+		"a": {cpuBound(10, 0, 20*sim.Second)},
+		"b": {},
 	}}
 	var moves []string
 	b := &apps.Balancer{
@@ -49,13 +63,14 @@ func TestBalancerAntiThrash(t *testing.T) {
 		if !b.Step(tk) {
 			t.Error("balancer did not move the hog off the busy host")
 		}
-		// Beacon lag: the view now shows the moved pid busy on b with its
+		// View lag: b's census now lists the moved pid busy with its
 		// pre-move age, and the loads inverted. Within the cooldown the
 		// balancer must leave the freshly-moved pid alone.
 		view.Members = []ha.Member{
 			{Host: "a", Load: 1, Alive: true},
-			{Host: "b", Load: 3, Alive: true, Procs: []ha.ProcStat{cpuBound(110, 10, 25*sim.Second)}},
+			{Host: "b", Load: 3, Alive: true},
 		}
+		view.Procs = map[string][]ha.ProcStat{"a": {}, "b": {cpuBound(110, 10, 25*sim.Second)}}
 		tk.Sleep(sim.Second)
 		if b.Step(tk) {
 			t.Error("balancer bounced a freshly-moved pid back inside the cooldown")
@@ -72,6 +87,10 @@ func TestBalancerAntiThrash(t *testing.T) {
 	if len(moves) != 2 || moves[0] != "a→b" || moves[1] != "b→a" {
 		t.Fatalf("moves = %v", moves)
 	}
+	// Candidates come from the busiest host's census alone.
+	if want := []string{"a", "b", "b"}; !reflect.DeepEqual(view.Asked, want) {
+		t.Fatalf("census queries %v, want %v", view.Asked, want)
+	}
 	if len(b.Failed) != 0 {
 		t.Fatalf("unexpected failed attempts: %+v", b.Failed)
 	}
@@ -82,8 +101,11 @@ func TestBalancerAntiThrash(t *testing.T) {
 func TestBalancerNearLevelLoad(t *testing.T) {
 	eng := sim.NewEngine()
 	view := &fakeView{Members: []ha.Member{
-		{Host: "a", Load: 2, Alive: true, Procs: []ha.ProcStat{cpuBound(10, 0, 20*sim.Second)}},
-		{Host: "b", Load: 1, Alive: true, Procs: []ha.ProcStat{cpuBound(20, 0, 20*sim.Second)}},
+		{Host: "a", Load: 2, Alive: true},
+		{Host: "b", Load: 1, Alive: true},
+	}, Procs: map[string][]ha.ProcStat{
+		"a": {cpuBound(10, 0, 20*sim.Second)},
+		"b": {cpuBound(20, 0, 20*sim.Second)},
 	}}
 	b := &apps.Balancer{
 		View:   view,
@@ -112,9 +134,9 @@ func TestBalancerNearLevelLoad(t *testing.T) {
 func TestBalancerRecordsFailures(t *testing.T) {
 	eng := sim.NewEngine()
 	view := &fakeView{Members: []ha.Member{
-		{Host: "a", Load: 4, Alive: true, Procs: []ha.ProcStat{cpuBound(10, 0, 20*sim.Second)}},
+		{Host: "a", Load: 4, Alive: true},
 		{Host: "b", Load: 0, Alive: true},
-	}}
+	}, Procs: map[string][]ha.ProcStat{"a": {cpuBound(10, 0, 20*sim.Second)}}}
 	b := &apps.Balancer{
 		View:   view,
 		Period: 5 * sim.Second,
@@ -148,10 +170,10 @@ func TestBalancerRecordsFailures(t *testing.T) {
 func TestBalancerRevivedHostTarget(t *testing.T) {
 	eng := sim.NewEngine()
 	view := &fakeView{Members: []ha.Member{
-		{Host: "a", Load: 3, Alive: true, Procs: []ha.ProcStat{cpuBound(10, 0, 20*sim.Second)}},
+		{Host: "a", Load: 3, Alive: true},
 		{Host: "b", Load: 1, Alive: true},
 		{Host: "c", Load: 0, Alive: false}, // crashed: never a target
-	}}
+	}, Procs: map[string][]ha.ProcStat{"a": {cpuBound(10, 0, 20*sim.Second)}}}
 	var moves []string
 	b := &apps.Balancer{
 		View:   view,
@@ -173,9 +195,10 @@ func TestBalancerRevivedHostTarget(t *testing.T) {
 		// may move onto it yet.
 		view.Members = []ha.Member{
 			{Host: "a", Load: 1, Alive: true},
-			{Host: "b", Load: 3, Alive: true, Procs: []ha.ProcStat{cpuBound(110, 10, 25*sim.Second)}},
+			{Host: "b", Load: 3, Alive: true},
 			{Host: "c", Load: 0, Alive: true},
 		}
+		view.Procs = map[string][]ha.ProcStat{"b": {cpuBound(110, 10, 25*sim.Second)}}
 		tk.Sleep(sim.Second)
 		if b.Step(tk) {
 			t.Error("balancer thrashed a freshly-moved pid onto the revived host inside the cooldown")
@@ -191,5 +214,62 @@ func TestBalancerRevivedHostTarget(t *testing.T) {
 	}
 	if len(moves) != 2 || moves[0] != "a→b" || moves[1] != "b→c" {
 		t.Fatalf("moves = %v, want a→b then (post-cooldown) b→c", moves)
+	}
+}
+
+// TestNightSchedulerRelocatesStaleJobAtDestination: a night move commits
+// but its reply (carrying the new pid) is lost. The scheduler asks the
+// destination it recorded and finds the job by the OldPID its restarted
+// copy reports — not the source, where a decoy reports the same OldPID.
+func TestNightSchedulerRelocatesStaleJobAtDestination(t *testing.T) {
+	eng := sim.NewEngine()
+	view := &fakeView{Procs: map[string][]ha.ProcStat{
+		"home": {{PID: 10}, {PID: 11}, {PID: 300, OldPID: 11}},
+		"w1":   {},
+	}}
+	nextPid := 500
+	ns := &apps.NightScheduler{
+		View:     view,
+		Home:     "home",
+		Machines: []string{"home", "w1"},
+		Migrate: func(_ *sim.Task, src string, pid int, dst string) (int, error) {
+			kept := view.Procs[src][:0]
+			for _, ps := range view.Procs[src] {
+				if ps.PID != pid {
+					kept = append(kept, ps)
+				}
+			}
+			view.Procs[src] = kept
+			nextPid++
+			view.Procs[dst] = append(view.Procs[dst], ha.ProcStat{PID: nextPid, OldPID: pid})
+			if dst == "w1" {
+				return 0, nil // committed; the reply with the new pid was lost
+			}
+			return nextPid, nil
+		},
+	}
+	ns.Add("home", 10)
+	ns.Add("home", 11)
+	var night, day map[string]int
+	var running int
+	eng.Go("driver", func(tk *sim.Task) {
+		ns.Nightfall(tk)
+		view.Asked = nil
+		night = ns.Placement(tk)
+		if want := []string{"home", "w1"}; !reflect.DeepEqual(view.Asked, want) {
+			t.Errorf("census queries %v, want %v", view.Asked, want)
+		}
+		running = ns.Running(tk)
+		ns.Daybreak(tk)
+		day = ns.Placement(tk)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if night["home"] != 1 || night["w1"] != 1 || running != 2 {
+		t.Fatalf("night placement %v with %d running, want one job per machine", night, running)
+	}
+	if day["home"] != 2 || len(ns.Events) != 2 || ns.Events[1].PID != 501 || ns.Events[1].From != "w1" {
+		t.Fatalf("day placement %v after %+v, want the relocated job (pid 501) brought home", day, ns.Events)
 	}
 }

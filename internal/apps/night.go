@@ -11,11 +11,11 @@ import (
 // the day, when users want the workstations, and spread evenly across the
 // network at night, when the load is low.
 //
-// Like the Balancer it is message-passing-honest: job liveness and
-// placement are read from the heartbeat view, and moves go through the
-// source machine's migd transaction. Jobs are tracked by (host, pid);
-// when a move's new pid is lost to a retry, the next heartbeat's OldPID
-// chain relocates the job.
+// Like the Balancer it is message-passing-honest: a job's liveness is
+// what its host's census answers, and moves go through the source
+// machine's migd transaction. Jobs are tracked by (host, pid); when a
+// move's new pid is lost to a retry, the destination's census relocates
+// the job by the OldPID its restarted copy reports.
 type NightScheduler struct {
 	Host     *netsim.Host // where the scheduler runs
 	View     LoadView
@@ -32,15 +32,15 @@ type NightScheduler struct {
 	// MigrateRemote through the source's migd.
 	Migrate func(t *sim.Task, src string, pid int, dst string) (int, error)
 
-	// viewBuf backs every refresh; the scheduler is driven from a single
-	// task, so one snapshot at a time is live.
-	viewBuf ha.ViewBuf
+	// procs backs every census; the scheduler is driven from a single
+	// task, so one answer at a time is live.
+	procs []ha.ProcStat
 }
 
 type nightJob struct {
 	host  string
 	pid   int
-	stale bool // pid unknown after a move; relocate via OldPID
+	stale bool // pid unknown after a move to host; relocate via OldPID
 }
 
 // Add registers a running CPU hog to be managed.
@@ -48,59 +48,41 @@ func (ns *NightScheduler) Add(host string, pid int) {
 	ns.jobs = append(ns.jobs, &nightJob{host: host, pid: pid})
 }
 
-// refresh reconciles job entries against the view: a job whose pid moved
-// under it (a migration whose new pid we never learned) is found again
-// through the OldPID its restarted copy advertises.
-func (ns *NightScheduler) refresh() []ha.Member {
-	view := ns.View.ViewInto(&ns.viewBuf)
-	for _, j := range ns.jobs {
-		if !j.stale {
-			continue
-		}
-		for i := range view {
-			for _, ps := range view[i].Procs {
-				if ps.OldPID == j.pid {
-					j.host, j.pid, j.stale = view[i].Host, ps.PID, false
-				}
-			}
-		}
+// locate asks job j's host for its census and reports whether j runs
+// there. A stale job — moved to host under a pid we never learned — is
+// found again by the OldPID its restarted copy reports. A host that does
+// not answer shows nothing.
+func (ns *NightScheduler) locate(t *sim.Task, j *nightJob) bool {
+	procs, err := ns.View.Census(t, j.host, ns.procs)
+	ns.procs = procs
+	if err != nil {
+		return false
 	}
-	return view
-}
-
-// alive reports whether the view shows job j running.
-func alive(view []ha.Member, j *nightJob) bool {
-	for i := range view {
-		if view[i].Host != j.host {
-			continue
-		}
-		for _, ps := range view[i].Procs {
-			if ps.PID == j.pid {
-				return true
-			}
+	for _, ps := range procs {
+		if j.stale && ps.OldPID == j.pid || !j.stale && ps.PID == j.pid {
+			j.pid, j.stale = ps.PID, false
+			return true
 		}
 	}
 	return false
 }
 
-// Running reports how many managed jobs the view shows alive.
-func (ns *NightScheduler) Running() int {
-	view := ns.refresh()
+// Running reports how many managed jobs their hosts show running.
+func (ns *NightScheduler) Running(t *sim.Task) int {
 	n := 0
 	for _, j := range ns.jobs {
-		if !j.stale && alive(view, j) {
+		if ns.locate(t, j) {
 			n++
 		}
 	}
 	return n
 }
 
-// Placement reports how many live jobs the view shows on each machine.
-func (ns *NightScheduler) Placement() map[string]int {
-	view := ns.refresh()
+// Placement reports how many running jobs each machine shows.
+func (ns *NightScheduler) Placement(t *sim.Task) map[string]int {
 	out := map[string]int{}
 	for _, j := range ns.jobs {
-		if !j.stale && alive(view, j) {
+		if ns.locate(t, j) {
 			out[j.host]++
 		}
 	}
@@ -114,10 +96,8 @@ func (ns *NightScheduler) migrate(t *sim.Task, src string, pid int, dst string) 
 	return MigrateRemote(t, ns.Host, src, pid, dst)
 }
 
-func (ns *NightScheduler) moveJob(t *sim.Task, view []ha.Member, j *nightJob, dst string) {
-	if j.host == dst || j.stale || !alive(view, j) {
-		return
-	}
+// moveJob migrates job j, which locate just found running, to dst.
+func (ns *NightScheduler) moveJob(t *sim.Task, j *nightJob, dst string) {
 	newPid, err := ns.migrate(t, j.host, j.pid, dst)
 	if err != nil {
 		return
@@ -129,27 +109,29 @@ func (ns *NightScheduler) moveJob(t *sim.Task, view []ha.Member, j *nightJob, ds
 	if newPid != 0 {
 		j.pid = newPid
 	} else {
-		j.stale = true // relocate from the next heartbeat's OldPID
+		j.stale = true // relocate from dst's census by OldPID
 	}
 }
 
-// Nightfall spreads the managed jobs round-robin across all machines.
+// Nightfall spreads the running jobs round-robin across all machines.
 func (ns *NightScheduler) Nightfall(t *sim.Task) {
-	view := ns.refresh()
 	i := 0
 	for _, j := range ns.jobs {
-		if j.stale || !alive(view, j) {
+		if !ns.locate(t, j) {
 			continue
 		}
-		ns.moveJob(t, view, j, ns.Machines[i%len(ns.Machines)])
+		if dst := ns.Machines[i%len(ns.Machines)]; dst != j.host {
+			ns.moveJob(t, j, dst)
+		}
 		i++
 	}
 }
 
-// Daybreak brings every managed job back to the home machine.
+// Daybreak brings every running job back to the home machine.
 func (ns *NightScheduler) Daybreak(t *sim.Task) {
-	view := ns.refresh()
 	for _, j := range ns.jobs {
-		ns.moveJob(t, view, j, ns.Home)
+		if j.host != ns.Home && ns.locate(t, j) {
+			ns.moveJob(t, j, ns.Home)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // declarative desired-state layer can act on the booted machines — spawns
 // through the kernel, kills by signal, migrations through the migd
 // transaction machinery, protection through the guardians — while all of
-// its *reads* go through the heartbeat view, like every other policy
-// daemon.
+// its *reads* go through the heartbeat view and the censuses hosts answer
+// over the network, like every other policy daemon.
 
 // ctlActuator adapts a Cluster to controller.Actuator. Reads resolve the
 // HA node lazily so a controller host that rejoins after a revival (which
@@ -28,12 +28,18 @@ type ctlActuator struct {
 
 func (a *ctlActuator) Hosts() []string { return a.c.Names() }
 
-func (a *ctlActuator) View(now sim.Time, buf *ha.ViewBuf) []ha.Member {
-	node := a.c.ha[a.host]
-	if node == nil {
-		return nil
+func (a *ctlActuator) View(dst []ha.Member) []ha.Member {
+	if node := a.c.ha[a.host]; node != nil {
+		return node.ViewInto(dst)
 	}
-	return node.Members().ViewInto(buf)
+	return dst[:0]
+}
+
+func (a *ctlActuator) Census(t *sim.Task, host string, dst []ha.ProcStat) ([]ha.ProcStat, error) {
+	if node := a.c.ha[a.host]; node != nil {
+		return node.Census(t, host, dst)
+	}
+	return dst[:0], fmt.Errorf("cluster: no control-plane node on %q", a.host)
 }
 
 func (a *ctlActuator) Spawn(t *sim.Task, host, path string) (int, error) {

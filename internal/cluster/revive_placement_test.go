@@ -89,8 +89,7 @@ func TestRevivedHostRejoinsPlacement(t *testing.T) {
 		if perHost()["d"] != 0 {
 			t.Error("controller still claims a replica on the crashed host")
 		}
-		var buf ha.ViewBuf
-		for _, m := range c.HA("a").Members().ViewInto(&buf) {
+		for _, m := range c.HA("a").ViewInto(nil) {
 			if m.Host == "d" && m.Alive {
 				t.Error("crashed host still alive in the controller's view")
 			}
@@ -108,7 +107,7 @@ func TestRevivedHostRejoinsPlacement(t *testing.T) {
 			t.Errorf("revived host carries %d replicas, want 1 (the only legal placement)", n)
 		}
 		seen := false
-		for _, m := range c.HA("a").Members().ViewInto(&buf) {
+		for _, m := range c.HA("a").ViewInto(nil) {
 			if m.Host == "d" {
 				seen = m.Alive
 			}

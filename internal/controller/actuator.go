@@ -12,16 +12,20 @@ import (
 // the HA control plane, tests drive fakes.
 //
 // Reads are deliberately narrow: View is the disseminated heartbeat
-// view — membership, per-host load, and the process census each beacon
-// carries — which is all a policy daemon on one host can honestly know.
-// The controller never inspects a peer kernel directly.
+// view — membership and per-host load — and Census is what one host
+// answers when asked which processes run there. That is all a policy
+// daemon on one host can honestly know; the controller never inspects a
+// peer kernel directly.
 type Actuator interface {
 	// Hosts lists every host ever booted, in boot order (including ones
 	// currently down). Placement still consults View for liveness.
 	Hosts() []string
-	// View snapshots the heartbeat membership view into buf (see
-	// ha.Membership.ViewInto); rows are stable until buf's next use.
-	View(now sim.Time, buf *ha.ViewBuf) []ha.Member
+	// View snapshots the heartbeat membership view into dst[:0] (see
+	// ha.Membership.ViewInto); rows are stable until dst's next use.
+	View(dst []ha.Member) []ha.Member
+	// Census asks host which processes run there, onto dst[:0] (see
+	// ha.Node.Census). An error means no answer, which says nothing.
+	Census(t *sim.Task, host string, dst []ha.ProcStat) ([]ha.ProcStat, error)
 	// Spawn starts one replica of path on host and returns its pid.
 	Spawn(t *sim.Task, host, path string) (int, error)
 	// Kill terminates pid on host.
@@ -29,8 +33,8 @@ type Actuator interface {
 	// Migrate moves pid from src to dst through the transactional migd
 	// path and returns the new pid. A nil error with pid 0 means the
 	// transaction committed but a duplicate-suppressed retry lost the
-	// reply carrying the new pid — the caller relocates the replica
-	// through the view's OldPID chain, exactly like the NightScheduler.
+	// reply carrying the new pid — the caller relocates the replica by
+	// the OldPID dst's census reports, exactly like the NightScheduler.
 	Migrate(t *sim.Task, src string, pid int, dst string) (int, error)
 	// Protect registers pid (running on host) with the host's guardian
 	// for buddy delta-checkpoints spooled to buddy.

@@ -14,13 +14,10 @@ import (
 type Config struct {
 	// Period is the reconcile cadence (default 2s).
 	Period sim.Duration
-	// SpawnGrace is how long a freshly spawned/adopted replica may stay
-	// unseen in beacons before it is presumed failed (default 3×Period —
-	// beacons lag actions by up to an interval plus gossip spread).
+	// SpawnGrace is how long a freshly spawned, adopted or moved replica
+	// may stay out of its host's census answers before it is presumed
+	// failed (default 3×Period).
 	SpawnGrace sim.Duration
-	// MissGrace is how long a previously seen replica may vanish from an
-	// alive host's census before it is presumed exited (default 2×Period).
-	MissGrace sim.Duration
 	// DeadGrace is how long a host must stay not-alive before its
 	// unprotected replicas are respawned elsewhere (default 2×Period;
 	// suspicion can be false, and the orphan reaper cleans up if so).
@@ -50,9 +47,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SpawnGrace <= 0 {
 		cfg.SpawnGrace = 3 * cfg.Period
-	}
-	if cfg.MissGrace <= 0 {
-		cfg.MissGrace = 2 * cfg.Period
 	}
 	if cfg.DeadGrace <= 0 {
 		cfg.DeadGrace = 2 * cfg.Period
@@ -102,8 +96,9 @@ type Controller struct {
 	convergeAt sim.Time // first instant the current desired state was met (0: not yet)
 
 	// Round-local scratch, reused to keep the loop allocation-light.
-	viewBuf      ha.ViewBuf
+	view         []ha.Member
 	byHost       map[string]*ha.Member
+	censuses     map[string]census // this round's answers, by host
 	repScratch   []*replica
 	candScratch  []cand
 	countScratch map[string]int
@@ -134,6 +129,7 @@ func New(host string, act Actuator, cfg Config, reg *obs.Registry) *Controller {
 		drains:       map[string]*drain{},
 		cordoned:     map[string]bool{},
 		byHost:       map[string]*ha.Member{},
+		censuses:     map[string]census{},
 		countScratch: map[string]int{},
 		overScratch:  map[string]int{},
 	}
@@ -292,15 +288,17 @@ func (c *Controller) Start(eng *sim.Engine) {
 // Stop ends the reconcile loop at its next tick (idempotent).
 func (c *Controller) Stop() { c.stopped = true }
 
-// Round runs one reconcile round: snapshot the view, re-judge every
-// replica against it, heal drains, then diff each app and act. Exposed
-// so tests and experiments can single-step the controller.
+// Round runs one reconcile round: snapshot the view, ask the replicas'
+// hosts for their censuses, re-judge every replica against the answers,
+// heal drains, then diff each app and act. Exposed so tests and
+// experiments can single-step the controller.
 func (c *Controller) Round(t *sim.Task) {
 	now := t.Now()
 	c.round++
 	c.mRounds.Inc()
 
-	view := c.act.View(now, &c.viewBuf)
+	view := c.act.View(c.view)
+	c.view = view
 	for k := range c.byHost {
 		delete(c.byHost, k)
 	}
@@ -308,7 +306,8 @@ func (c *Controller) Round(t *sim.Task) {
 		c.byHost[view[i].Host] = &view[i]
 	}
 
-	c.judge(view, now)
+	c.askCensuses(t)
+	c.judge(now)
 	c.reap(t, now)
 	c.drainStep(t, view, now)
 
@@ -400,7 +399,7 @@ func (c *Controller) reconcileApp(t *sim.Task, a *app, view []ha.Member, now sim
 		}
 		r := &replica{
 			slot: a.nextSlot, gen: a.gen, host: host, pid: pid,
-			state: repPending, since: now, seen: now,
+			state: repPending, since: now,
 		}
 		a.nextSlot++
 		a.replicas = append(a.replicas, r)
@@ -465,14 +464,14 @@ func (c *Controller) moveReplica(t *sim.Task, a *app, r *replica, dst string, no
 	}
 	if newPid == 0 {
 		// Committed, but a duplicate-suppressed retry lost the new pid.
-		// The copy runs on dst under a pid the OldPID chain will reveal.
+		// The copy runs on dst under a pid dst's census will reveal.
 		c.disown(r.host, r.pid)
 		r.host = dst
 		r.state = repPending
-		r.since, r.seen = t.Now(), t.Now()
+		r.since = t.Now()
 		r.stale = true
 		r.protHost, r.protPID, r.protBuddy = "", 0, ""
-		c.own(dst, r.pid) // chain key: successor advertises OldPID == r.pid
+		c.own(dst, r.pid) // chain key: dst's census reports OldPID == r.pid
 		c.mMove.Inc()
 		return true
 	}

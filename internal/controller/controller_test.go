@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -12,9 +13,9 @@ import (
 )
 
 // fakeAct is an in-memory cluster: hosts with pid tables, instant (or
-// delayed) migrations, and a scriptable guardian ledger. Its View
-// reflects the truth immediately — grace-period behavior is exercised by
-// flipping liveness and editing tables between rounds.
+// delayed) migrations, and a scriptable guardian ledger. Its View and
+// Census reflect the truth immediately — grace-period behavior is
+// exercised by flipping liveness and editing tables between rounds.
 type fakeAct struct {
 	eng     *sim.Engine
 	hosts   []string
@@ -32,6 +33,8 @@ type fakeAct struct {
 
 	prewarm      func(src string, pid int, dst string) (bool, error) // nil → decline
 	prewarmCalls int
+
+	asked []string // every census query, in order
 
 	spawns, kills, migrations int
 }
@@ -63,24 +66,30 @@ func newFake(hosts ...string) *fakeAct {
 
 func (f *fakeAct) Hosts() []string { return f.hosts }
 
-func (f *fakeAct) View(now sim.Time, buf *ha.ViewBuf) []ha.Member {
-	var out []ha.Member
+func (f *fakeAct) View(dst []ha.Member) []ha.Member {
+	out := dst[:0]
 	for _, h := range f.hosts {
-		// CensusAt: now — the fake view is always fresh, like a full-mesh
-		// cluster where every interval carries a direct beacon.
-		m := ha.Member{Host: h, Alive: f.alive[h], CensusAt: now, LastHeard: now, Load: len(f.procs[h])}
-		pids := make([]int, 0, len(f.procs[h]))
-		for pid := range f.procs[h] {
-			pids = append(pids, pid)
-		}
-		sort.Ints(pids)
-		for _, pid := range pids {
-			p := f.procs[h][pid]
-			m.Procs = append(m.Procs, ha.ProcStat{PID: p.pid, OldPID: p.oldPid})
-		}
-		out = append(out, m)
+		out = append(out, ha.Member{Host: h, Alive: f.alive[h], Load: len(f.procs[h])})
 	}
 	return out
+}
+
+func (f *fakeAct) Census(t *sim.Task, host string, dst []ha.ProcStat) ([]ha.ProcStat, error) {
+	f.asked = append(f.asked, host)
+	if !f.alive[host] {
+		return dst[:0], fmt.Errorf("fake: no census from %s", host)
+	}
+	pids := make([]int, 0, len(f.procs[host]))
+	for pid := range f.procs[host] {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	out := dst[:0]
+	for _, pid := range pids {
+		p := f.procs[host][pid]
+		out = append(out, ha.ProcStat{PID: p.pid, OldPID: p.oldPid})
+	}
+	return out, nil
 }
 
 func (f *fakeAct) Spawn(t *sim.Task, host, path string) (int, error) {
@@ -500,8 +509,8 @@ func TestStaleChainRelocation(t *testing.T) {
 	}
 	h.rounds(t, 3)
 	// A committed migration whose reply (carrying the new pid) is lost:
-	// the controller must relocate the replica through the view's OldPID
-	// chain instead of declaring it dead.
+	// the controller must relocate the replica by the OldPID the
+	// destination's census reports instead of declaring it dead.
 	h.f.loseNextReply = true
 	if err := h.c.Drain("c"); err != nil {
 		t.Fatal(err)
@@ -516,6 +525,121 @@ func TestStaleChainRelocation(t *testing.T) {
 	}
 	if h.f.total("/bin/web") != 3 {
 		t.Fatalf("replica lost: %v", h.f.countOn("/bin/web"))
+	}
+}
+
+// TestStaleReplicaRelocatedFromDestinationAnswer: a drain move commits
+// but its reply (carrying the new pid) is lost. The controller finds the
+// successor in the destination's census, by the OldPID it reports — and
+// only there: another host the controller asks every round runs a decoy
+// reporting the same OldPID, which must not be adopted.
+func TestStaleReplicaRelocatedFromDestinationAnswer(t *testing.T) {
+	h := newHarness(t, controller.Config{}, "a", "b", "c")
+	for _, spec := range []controller.AppSpec{
+		{Name: "other", Path: "/bin/other", Replicas: 1, Hosts: []string{"a"}},
+		{Name: "web", Path: "/bin/web", Replicas: 1, Hosts: []string{"b", "c"}, Avoid: []string{"b"}},
+	} {
+		if err := h.c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.rounds(t, 3)
+	st, _ := h.c.App("web")
+	if !h.c.Converged() || st.Replicas[0].Host != "c" {
+		t.Fatalf("precondition: web not live on c: %+v", h.c.Status())
+	}
+	old := st.Replicas[0].PID
+	h.f.procs["a"][999] = &fakeProc{pid: 999, oldPid: old, path: "/bin/decoy"}
+	// The drain may move web to b only once the cordon is up.
+	spec := controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 1, Hosts: []string{"b", "c"}}
+	if err := h.c.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	h.f.loseNextReply = true
+	if err := h.c.Drain("c"); err != nil {
+		t.Fatal(err)
+	}
+	h.rounds(t, 3)
+	st, _ = h.c.App("web")
+	var successor int
+	for pid, p := range h.f.procs["b"] {
+		if p.oldPid == old {
+			successor = pid
+		}
+	}
+	if !h.c.Converged() || successor == 0 || st.Replicas[0].Host != "b" || st.Replicas[0].PID != successor {
+		t.Fatalf("stale replica bound to %+v, want b/%d: %+v", st.Replicas, successor, h.c.Status())
+	}
+	if got := h.reg.Scope("a").Counter("controller.adoptions").Value(); got != 1 {
+		t.Fatalf("adoptions = %d, want 1", got)
+	}
+	if lost := h.reg.Scope("a").Counter("controller.replicas_lost").Value(); lost != 0 {
+		t.Fatalf("a committed move was judged lost %d time(s)", lost)
+	}
+	if h.f.procs["a"][999] == nil {
+		t.Fatal("the decoy was killed")
+	}
+}
+
+// TestReplicaMissingFromAnswerRespawned: a live replica that exits is
+// missing from its host's next answer. Pids are never reused, so the
+// controller convicts it in that very round and respawns the slot.
+func TestReplicaMissingFromAnswerRespawned(t *testing.T) {
+	h := newHarness(t, controller.Config{}, "a", "b", "c")
+	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 3}); err != nil {
+		t.Fatal(err)
+	}
+	h.rounds(t, 3)
+	if !h.c.Converged() {
+		t.Fatalf("not converged: %+v", h.c.Status())
+	}
+	st, _ := h.c.App("web")
+	gone := st.Replicas[0]
+	delete(h.f.procs[gone.Host], gone.PID)
+	h.rounds(t, 1)
+	scope := h.reg.Scope("a")
+	if lost := scope.Counter("controller.replicas_lost").Value(); lost != 1 {
+		t.Fatalf("replicas_lost = %d one round after the exit, want 1", lost)
+	}
+	if got := scope.Counter("controller.respawns").Value(); got != 1 {
+		t.Fatalf("respawns = %d, want 1", got)
+	}
+	h.rounds(t, 1)
+	if !h.c.Converged() || h.f.total("/bin/web") != 3 {
+		t.Fatalf("not reconverged after the exit: %v, %+v", h.f.countOn("/bin/web"), h.c.Status())
+	}
+}
+
+// TestCensusQueriesReplay: each round asks every alive replica host once,
+// in replica order, so two runs of one scenario ask the same hosts in the
+// same order.
+func TestCensusQueriesReplay(t *testing.T) {
+	run := func() []string {
+		hosts := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+		h := newHarness(t, controller.Config{}, hosts...)
+		if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 14}); err != nil {
+			t.Fatal(err)
+		}
+		h.rounds(t, 6)
+		if !h.c.Converged() {
+			t.Fatalf("not converged: %+v", h.c.Status())
+		}
+		h.f.asked = nil
+		h.rounds(t, 1)
+		seen := map[string]bool{}
+		for _, host := range h.f.asked {
+			if seen[host] {
+				t.Fatalf("%s asked twice in one round: %v", host, h.f.asked)
+			}
+			seen[host] = true
+		}
+		if len(seen) != len(hosts) {
+			t.Fatalf("asked %v, want every replica host", h.f.asked)
+		}
+		return h.f.asked
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("census queries do not replay: %v vs %v", a, b)
 	}
 }
 

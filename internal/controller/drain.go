@@ -239,7 +239,7 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 				c.disown(mv.src, mv.pid)
 				if newPid == 0 {
 					// Committed but the reply carrying the new pid was
-					// lost; the OldPID chain will reveal the successor.
+					// lost; dst's census will reveal the successor.
 					r.stale = true
 					c.own(mv.dst, mv.pid)
 				} else {
@@ -248,7 +248,7 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 					c.own(mv.dst, newPid)
 				}
 				r.state = repPending
-				r.since, r.seen = wt.Now(), wt.Now()
+				r.since = wt.Now()
 				r.downAt = 0
 				r.protHost, r.protPID, r.protBuddy = "", 0, ""
 				c.mDrainMove.Inc()
@@ -297,7 +297,7 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 // bumped the generation, restart up to ReplaceWave stale replicas.
 // The settle barrier between waves is implicit: a wave only starts while
 // the app has no pending replicas, so the previous wave's restarts must
-// have been seen alive in beacons first.
+// have been listed in their hosts' censuses first.
 func (c *Controller) replaceStep(t *sim.Task, a *app, view []ha.Member, now sim.Time, budget int) int {
 	var stale []*replica
 	for _, r := range a.replicas {
@@ -344,7 +344,7 @@ func (c *Controller) replaceStep(t *sim.Task, a *app, view []ha.Member, now sim.
 		}
 		nr := &replica{
 			slot: a.nextSlot, gen: a.gen, host: host, pid: pid,
-			state: repPending, since: t.Now(), seen: t.Now(),
+			state: repPending, since: t.Now(),
 		}
 		a.nextSlot++
 		a.replicas = append(a.replicas, nr)

@@ -10,18 +10,19 @@ import (
 // Observed-state bookkeeping. The controller tracks each desired replica
 // as a slot: bound slots name a (host, pid) the controller believes runs
 // the replica, unbound slots are deficits the reconciler must fill. Every
-// round the bookkeeping is re-judged against the heartbeat view — never
-// against peer kernels — with grace periods absorbing the lag between an
-// action and the beacons that prove it took effect.
+// round the bookkeeping is re-judged against the heartbeat view's
+// liveness and the census each replica's host answers that round — never
+// against peer kernels. Pids are never reused, so an answer taken after a
+// replica was bound that does not list it proves the replica gone.
 
 type repState int
 
 const (
-	// repPending: spawned, adopted or just migrated; not yet seen in a
-	// beacon from its host. Becomes live on first sighting, dead if it
-	// stays unseen past SpawnGrace.
+	// repPending: spawned, adopted or just migrated; not yet listed in
+	// an answer from its host. Becomes live when first listed, dead if
+	// it stays unlisted past SpawnGrace.
 	repPending repState = iota
-	// repLive: seen in a recent beacon from an alive host.
+	// repLive: listed in its alive host's latest answer.
 	repLive
 	// repMoving: a drain or constraint move is in flight; the view
 	// judgement skips it (mid-transaction both copies are transient).
@@ -48,10 +49,9 @@ type replica struct {
 	pid   int
 	state repState
 	since sim.Time // when it entered its current state
-	seen  sim.Time // last beacon sighting
 	// stale: a migration committed but the reply carrying the new pid was
-	// lost; pid still names the pre-move process and the view's OldPID
-	// chain will reveal the successor.
+	// lost; pid still names the pre-move process, and host (the
+	// destination) will report the successor with that OldPID.
 	stale bool
 	// downAt: when the replica's host was first observed not alive
 	// (0 while the host is fine). Respawn decisions date from here.
@@ -131,7 +131,7 @@ func (c *Controller) rebind(r *replica, host string, pid int, st repState, now s
 	c.disown(r.host, r.pid)
 	r.host, r.pid = host, pid
 	r.state = st
-	r.since, r.seen = now, now
+	r.since = now
 	r.stale = false
 	r.downAt = 0
 	c.own(host, pid)
@@ -148,40 +148,62 @@ func (c *Controller) drop(a *app, r *replica) {
 	}
 }
 
-// findInView reports whether pid is in m's advertised census.
-func findInView(m *ha.Member, pid int) bool {
-	for i := range m.Procs {
-		if m.Procs[i].PID == pid {
+// census is one host's answer to this round's query; ok if it answered.
+type census struct {
+	ok    bool
+	procs []ha.ProcStat
+}
+
+// askCensuses asks every alive host that holds a non-moving replica or an
+// orphan for its census, once, in replica and then orphan order, so runs
+// replay. No earlier step of the round parks, so every answer postdates
+// every binding.
+func (c *Controller) askCensuses(t *sim.Task) {
+	clear(c.censuses)
+	ask := func(host string) {
+		if _, asked := c.censuses[host]; !asked && c.hostAlive(host) {
+			procs, err := c.act.Census(t, host, nil)
+			c.censuses[host] = census{err == nil, procs}
+		}
+	}
+	for _, name := range c.appOrder {
+		for _, r := range c.apps[name].replicas {
+			if r.state != repMoving {
+				ask(r.host)
+			}
+		}
+	}
+	for _, o := range c.orphans {
+		ask(o.host)
+	}
+}
+
+// listed reports whether pid is in procs.
+func listed(procs []ha.ProcStat, pid int) bool {
+	for i := range procs {
+		if procs[i].PID == pid {
 			return true
 		}
 	}
 	return false
 }
 
-// chase scans the whole view for a successor of (r.host, r.pid) — a
-// process advertising OldPID == r.pid. This is how a stale replica
-// (committed move, lost reply) is relocated from beacons alone.
-func (c *Controller) chase(view []ha.Member, r *replica) (string, int, bool) {
-	for i := range view {
-		m := &view[i]
-		if !m.Alive {
-			continue
-		}
-		for j := range m.Procs {
-			if m.Procs[j].OldPID == r.pid {
-				return m.Host, m.Procs[j].PID, true
-			}
+// chase finds a stale replica's successor (committed move, lost reply) in
+// its destination's census: the process reporting OldPID == oldPID.
+func chase(procs []ha.ProcStat, oldPID int) (int, bool) {
+	for i := range procs {
+		if procs[i].OldPID == oldPID {
+			return procs[i].PID, true
 		}
 	}
-	return "", 0, false
+	return 0, false
 }
 
-// judge re-evaluates every bound replica against the view: sightings
-// promote pending to live, sustained absence (past the applicable grace)
-// unbinds the slot so the reconciler respawns it. Returns how many slots
-// were unbound this round (the healed-deviation count).
-func (c *Controller) judge(view []ha.Member, now sim.Time) int {
-	lost := 0
+// judge re-evaluates every bound replica against this round's answers:
+// a listing promotes pending to live, and absence unbinds the slot for
+// respawn — at once for a live replica, past SpawnGrace for a pending
+// one. A host that did not answer is no evidence either way.
+func (c *Controller) judge(now sim.Time) {
 	for _, name := range c.appOrder {
 		a := c.apps[name]
 		// Iterate over a snapshot: drop mutates a.replicas.
@@ -191,64 +213,28 @@ func (c *Controller) judge(view []ha.Member, now sim.Time) int {
 			if r.state == repMoving {
 				continue // the move's own task updates the binding
 			}
-			m, ok := c.byHost[r.host]
-			if ok && m.Alive {
+			if c.hostAlive(r.host) {
 				r.downAt = 0
-				if findInView(m, r.pid) {
+				cs := c.censuses[r.host]
+				if !cs.ok {
+					continue
+				}
+				if r.stale {
+					if pid, found := chase(cs.procs, r.pid); found {
+						c.rebind(r, r.host, pid, repLive, now)
+						c.mAdopt.Inc()
+						continue
+					}
+				} else if listed(cs.procs, r.pid) {
 					if r.state != repLive {
 						r.state = repLive
 						r.since = now
 					}
-					// Evidence is as old as the census it came from, not
-					// the round that read it.
-					if m.CensusAt > r.seen {
-						r.seen = m.CensusAt
-					}
-					r.stale = false
 					continue
 				}
-				if r.stale {
-					if host, pid, found := c.chase(view, r); found {
-						c.rebind(r, host, pid, repLive, now)
-						c.mAdopt.Inc()
-						continue
-					}
+				if r.state != repPending || sim.Duration(now-r.since) > c.cfg.SpawnGrace {
+					c.lose(a, r)
 				}
-				// Not in the census. Beacons lag actions, so give a fresh
-				// spawn SpawnGrace and a previously seen copy MissGrace
-				// before declaring it lost.
-				grace := c.cfg.MissGrace
-				ref := r.seen
-				if r.state == repPending {
-					grace = c.cfg.SpawnGrace
-					ref = r.since
-				}
-				// At scale a host's liveness needs no fresh beacon but its
-				// proc census arrives only on a direct one, so the census
-				// lags by many intervals. A census taken before the replica
-				// was last known alive proves nothing about it — only
-				// absence from a census newer than the evidence convicts.
-				// CensusAt is stamped at receipt while the proc list was
-				// sampled a delivery delay earlier, so a census received
-				// moments after a spawn may still predate it: demand one
-				// full period of clearance, which over-covers any delivery
-				// delay without adding detection latency (the next census
-				// is at least a beacon interval away regardless).
-				if m.CensusAt <= ref+sim.Time(c.cfg.Period) {
-					continue
-				}
-				if sim.Duration(now-ref) <= grace {
-					continue
-				}
-				// The census says dead and pids are never reused, so this
-				// should be definitive — but record the drop as an orphan
-				// anyway: if the conviction was somehow wrong, the reaper
-				// turns a permanent duplicate into a transient one.
-				c.orphans = append(c.orphans, orphan{host: r.host, pid: r.pid, at: now})
-				c.drop(a, r)
-				a.respawnDebt++
-				c.mLost.Inc()
-				lost++
 				continue
 			}
 			// Host not alive (suspected, crashed, or never heard from).
@@ -281,10 +267,7 @@ func (c *Controller) judge(view []ha.Member, now sim.Time) int {
 			// is still running there — remember it as an orphan so a
 			// healed partition doesn't leave a duplicate.
 			c.orphans = append(c.orphans, orphan{host: r.host, pid: r.pid, at: now})
-			c.drop(a, r)
-			a.respawnDebt++
-			c.mLost.Inc()
-			lost++
+			c.lose(a, r)
 		}
 		// Debt never exceeds the actual deficit: a shrink or an adoption
 		// that raced a drop must not mislabel a later scale-up as a heal.
@@ -295,7 +278,14 @@ func (c *Controller) judge(view []ha.Member, now sim.Time) int {
 			}
 		}
 	}
-	return lost
+}
+
+// lose unbinds a replica judged dead, leaving its slot for the
+// reconciler to respawn.
+func (c *Controller) lose(a *app, r *replica) {
+	c.drop(a, r)
+	a.respawnDebt++
+	c.mLost.Inc()
 }
 
 // adoptRecovery checks the replica's buddy ledger for a completed
@@ -326,7 +316,10 @@ func (c *Controller) adoptRecovery(a *app, r *replica, now sim.Time) bool {
 func (c *Controller) reap(t *sim.Task, now sim.Time) {
 	keepO := c.orphans[:0]
 	for _, o := range c.orphans {
-		if m, ok := c.byHost[o.host]; ok && m.Alive && findInView(m, o.pid) {
+		if cs := c.censuses[o.host]; cs.ok {
+			if !listed(cs.procs, o.pid) {
+				continue // gone, and pids are never reused
+			}
 			if err := c.act.Kill(t, o.host, o.pid); err == nil {
 				c.mReap.Inc()
 				continue // killed; forget it

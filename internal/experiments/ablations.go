@@ -370,7 +370,7 @@ func A5LoadBalance() (*A5Result, error) {
 				// view and moves jobs through the source's migd.
 				b := &apps.Balancer{
 					Host:   c.NetHost("m2"),
-					View:   c.HA("m2").Members(),
+					View:   c.HA("m2"),
 					Period: 5 * sim.Second,
 					MinAge: 2 * sim.Second,
 				}

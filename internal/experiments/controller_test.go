@@ -3,9 +3,9 @@ package experiments
 import "testing"
 
 // TestA13Smoke runs the controller scenario at CI-smoke size: enough
-// hosts that each beacon round reaches only a few peers (so the proc
-// census genuinely lags the liveness view, the staleness regime the
-// judge must survive), small enough for a single-digit-second run. The invariants — bounded
+// hosts that each beacon round reaches only a few peers (so liveness
+// news reaches the controller mostly by gossip), small enough for a
+// single-digit-second run. The invariants — bounded
 // convergence, exact crash-wave loss accounting, respawn-per-loss,
 // wave-counted drain, zero final deficit — are asserted inside
 // A13Controller itself.

@@ -98,14 +98,10 @@ type scaleSource struct {
 func (s *scaleSource) HostName() string { return s.name }
 func (s *scaleSource) RunQueueLen() int { return len(s.procs) }
 
-// AppendProcStats reports at most 8 procs per beacon — like the real
-// machineSource, heartbeats carry a bounded sample, not the whole table.
+// AppendProcStats reports every proc, as a census answer does: beacons
+// carry none, so nothing here needs a cap.
 func (s *scaleSource) AppendProcStats(now sim.Time, dst []ha.ProcStat) []ha.ProcStat {
-	n := len(s.procs)
-	if n > 8 {
-		n = 8
-	}
-	return append(dst, s.procs[:n]...)
+	return append(dst, s.procs...)
 }
 
 func (s *scaleSource) add(p ha.ProcStat) { s.procs = append(s.procs, p) }

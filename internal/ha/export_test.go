@@ -46,6 +46,12 @@ func DecodeSyncRequest(raw []byte) (*Heartbeat, core.StoreSummary, error) {
 	return hb, d, nil
 }
 
+// AppendCensus and DecodeCensus are the census answer codec.
+func AppendCensus(b []byte, procs []ProcStat) []byte { return appendCensus(b, procs) }
+func DecodeCensus(raw []byte, dst []ProcStat) ([]ProcStat, error) {
+	return decodeCensus(raw, dst)
+}
+
 // MemberKey is a member's sync digest key under salt.
 func MemberKey(salt uint32, host string, inc uint32, suspect bool) uint64 {
 	return memberKey(salt, hashName(host), inc, suspect)

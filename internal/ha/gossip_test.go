@@ -381,9 +381,10 @@ func (gc *gossipCluster) digest(t *testing.T) string {
 	}
 	mix(uint64(now))
 	mix(uint64(gc.net.Messages))
-	var buf ha.ViewBuf
+	var view []ha.Member
 	for _, node := range gc.nodes {
-		for _, m := range node.Members().ViewInto(&buf) {
+		view = node.Members().ViewInto(view)
+		for _, m := range view {
 			for i := 0; i < len(m.Host); i++ {
 				mix(uint64(m.Host[i]))
 			}

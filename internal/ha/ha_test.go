@@ -1,6 +1,7 @@
 package ha_test
 
 import (
+	"reflect"
 	"testing"
 
 	"procmig/internal/cluster"
@@ -14,34 +15,65 @@ import (
 // --- wire format --------------------------------------------------------------
 
 func TestHeartbeatRoundTrip(t *testing.T) {
-	hb := &ha.Heartbeat{Host: "alpha", Seq: 7, Load: 2, Procs: []ha.ProcStat{
-		{PID: 1001, OldPID: 3, Age: 5 * sim.Second, CPU: 2 * sim.Second},
-		{PID: 1002, Age: sim.Second, CPU: 100 * sim.Millisecond},
-	}}
-	got, err := ha.DecodeHeartbeat(hb.Encode())
+	hb := &ha.Heartbeat{Host: "alpha", Seq: 7, Inc: 2, Load: 2}
+	raw := hb.Encode()
+	if len(raw) != 16+len(hb.Host) {
+		t.Fatalf("a beacon with no news encodes to %d bytes, want its %d-byte header", len(raw), 16+len(hb.Host))
+	}
+	got, err := ha.DecodeHeartbeat(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Host != hb.Host || got.Seq != hb.Seq || got.Load != hb.Load || len(got.Procs) != 2 {
+	if got.Host != hb.Host || got.Seq != hb.Seq || got.Inc != hb.Inc || got.Load != hb.Load || len(got.Summaries) != 0 {
 		t.Fatalf("round trip lost fields: %+v", got)
-	}
-	if got.Procs[0] != hb.Procs[0] || got.Procs[1] != hb.Procs[1] {
-		t.Fatalf("round trip lost proc stats: %+v", got.Procs)
 	}
 }
 
 func TestDecodeHeartbeatRejects(t *testing.T) {
-	good := (&ha.Heartbeat{Host: "alpha", Seq: 1, Procs: []ha.ProcStat{{PID: 9}}}).Encode()
+	good := (&ha.Heartbeat{Host: "alpha", Seq: 1, Summaries: []ha.MemberSummary{{Host: "b", Seq: 3}}}).Encode()
 	for name, raw := range map[string][]byte{
 		"empty":      {},
 		"short":      good[:5],
 		"bad magic":  append([]byte{0xff, 0xff}, good[2:]...),
 		"truncated":  good[:len(good)-3],
 		"trailing":   append(append([]byte{}, good...), 1, 2, 3),
-		"count lies": func() []byte { b := append([]byte{}, good...); b[len("alpha")+16] = 200; return b }(),
+		"count lies": func() []byte { b := append([]byte{}, good...); b[len("alpha")+17] = 200; return b }(),
 	} {
 		if _, err := ha.DecodeHeartbeat(raw); err == nil {
 			t.Errorf("%s: decoder accepted malformed beacon", name)
+		}
+	}
+}
+
+func TestCensusRoundTrip(t *testing.T) {
+	procs := []ha.ProcStat{
+		{PID: 1001, OldPID: 3, Age: 5 * sim.Second, CPU: 2 * sim.Second},
+		{PID: 1002, Age: sim.Second, CPU: 100 * sim.Millisecond},
+	}
+	raw := ha.AppendCensus(nil, procs)
+	got, err := ha.DecodeCensus(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, procs) {
+		t.Fatalf("round trip gave %+v, want %+v", got, procs)
+	}
+	if got, err := ha.DecodeCensus(ha.AppendCensus(nil, nil), got); err != nil || len(got) != 0 {
+		t.Fatalf("empty census decoded to %+v, %v", got, err)
+	}
+}
+
+func TestDecodeCensusRejects(t *testing.T) {
+	good := ha.AppendCensus(nil, []ha.ProcStat{{PID: 9}, {PID: 10}})
+	for name, raw := range map[string][]byte{
+		"empty":      {},
+		"short":      good[:1],
+		"truncated":  good[:len(good)-3],
+		"trailing":   append(append([]byte{}, good...), 1, 2, 3),
+		"count lies": func() []byte { b := append([]byte{}, good...); b[1] = 200; return b }(),
+	} {
+		if got, err := ha.DecodeCensus(raw, nil); err == nil || len(got) != 0 {
+			t.Errorf("%s: decoder accepted malformed census: %+v", name, got)
 		}
 	}
 }
@@ -74,8 +106,7 @@ func TestMembershipSuspicion(t *testing.T) {
 	// A late duplicate refreshes liveness but never rolls state back.
 	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 5, Load: 7}, sim.Time(56*sim.Second))
 	ms.Observe(&ha.Heartbeat{Host: "alpha", Seq: 2, Load: 1}, sim.Time(57*sim.Second))
-	var buf ha.ViewBuf
-	v := ms.ViewInto(&buf)
+	v := ms.ViewInto(nil)
 	if len(v) != 1 || v[0].Seq != 5 || v[0].Load != 7 {
 		t.Fatalf("stale beacon rolled state back: %+v", v)
 	}
@@ -89,8 +120,7 @@ func TestMembershipViewSorted(t *testing.T) {
 	for _, h := range []string{"zeta", "alpha", "mid"} {
 		ms.Observe(&ha.Heartbeat{Host: h, Seq: 1}, 0)
 	}
-	var buf ha.ViewBuf
-	v := ms.ViewInto(&buf)
+	v := ms.ViewInto(nil)
 	if len(v) != 3 || v[0].Host != "alpha" || v[1].Host != "mid" || v[2].Host != "zeta" {
 		t.Fatalf("view not sorted: %+v", v)
 	}
@@ -123,19 +153,22 @@ func killAll(c *cluster.Cluster) {
 }
 
 // TestHeartbeatViewConverges: after a few beacon intervals every node sees
-// every other node alive, with the load the peer advertised.
+// every other node alive, with the load the peer advertised, and a peer
+// asked for its census lists its hog.
 func TestHeartbeatViewConverges(t *testing.T) {
 	c := bootHA(t, ha.Config{Interval: sim.Second}, "alpha", "beta", "gamma")
 	var (
-		buf  ha.ViewBuf
-		view []ha.Member
+		view      []ha.Member
+		procs     []ha.ProcStat
+		censusErr error
 	)
 	c.Eng.Go("driver", func(tk *sim.Task) {
 		if _, err := c.Spawn("gamma", nil, cluster.DefaultUser, "/bin/hog"); err != nil {
 			t.Error(err)
 		}
 		tk.Sleep(5 * sim.Second)
-		view = c.HA("alpha").Members().ViewInto(&buf)
+		view = c.HA("alpha").ViewInto(nil)
+		procs, censusErr = c.HA("alpha").Census(tk, "gamma", nil)
 		killAll(c)
 	})
 	if err := c.Run(); err != nil {
@@ -149,8 +182,11 @@ func TestHeartbeatViewConverges(t *testing.T) {
 			t.Errorf("member %s not alive in a healthy cluster", m.Host)
 		}
 	}
-	if view[2].Host != "gamma" || len(view[2].Procs) != 1 {
-		t.Fatalf("gamma's hog missing from the view: %+v", view[2])
+	if view[2].Host != "gamma" || view[2].Load != 1 {
+		t.Fatalf("gamma's load missing from the view: %+v", view[2])
+	}
+	if censusErr != nil || len(procs) != 1 {
+		t.Fatalf("gamma's census: %+v, %v; want its hog", procs, censusErr)
 	}
 }
 

@@ -3,18 +3,19 @@
 // applications (load balancing, checkpointing long computations) take for
 // granted. Each host runs three cooperating daemons on top of netsim:
 //
-//   - hbd beacons liveness plus a digest of the local run queue. Each
-//     interval's beacons go to k = ⌈log₂N⌉+2 peers (every peer, in a
-//     cluster that small) chosen by a deterministic shuffle of the engine
-//     PRNG — O(N·k) messages per interval instead of O(N²). Each beacon
-//     doubles as a probe: a failed one suspects the peer. Beacons
-//     piggyback up to k summaries of news — state changes only:
-//     suspicions, refutations, rebirths — which reaches everyone in
-//     O(log N / log k) intervals. There is no timeout at any cluster size.
-//     While a node's roster is incomplete it also pulls, once an interval,
-//     the members it lacks from a random peer: it sends a salted Bloom
-//     digest of what it holds, and the reply carries only what the digest
-//     does not claim.
+//   - hbd beacons liveness and its run-queue length. Each interval's
+//     beacons go to k = ⌈log₂N⌉+2 peers (every peer, in a cluster that
+//     small) chosen by a deterministic shuffle of the engine PRNG — O(N·k)
+//     messages per interval instead of O(N²). Each beacon doubles as a
+//     probe: a failed one suspects the peer. Beacons piggyback up to k
+//     summaries of news — state changes only: suspicions, refutations,
+//     rebirths — which reaches everyone in O(log N / log k) intervals.
+//     There is no timeout at any cluster size. While a node's roster is
+//     incomplete it also pulls, once an interval, the members it lacks from
+//     a random peer: it sends a salted Bloom digest of what it holds, and
+//     the reply carries only what the digest does not claim. hbd also
+//     answers census queries: a peer that wants to know which processes
+//     run here asks (Node.Census), and the reply lists them.
 //   - guardd (source role) takes periodic incremental checkpoints of
 //     processes registered for protection — the PR 1 dirty-page stream
 //     format reused as delta checkpoints — and spools them to a buddy
@@ -25,8 +26,9 @@
 //     confirmed dead, restarts the newest committed checkpoint locally.
 //
 // The policy layer (apps.Balancer, apps.NightScheduler) consumes the
-// disseminated view instead of dereferencing peer Machine structs, making
-// it honest about what a real distributed system could know.
+// disseminated view and asks hosts for their censuses instead of
+// dereferencing peer Machine structs, making it honest about what a real
+// distributed system could know.
 package ha
 
 import (
@@ -47,21 +49,12 @@ const (
 	GuardPort      = 521 // guardd control verbs (release)
 	GuardSpoolPort = 522 // guardd checkpoint streams (netsim stream port)
 	MemberSyncPort = 523 // hbd anti-entropy: digest-then-delta roster pull
+	CensusPort     = 524 // hbd: a host's proc census, on request
 )
 
 // HeartbeatMagic continues the paper's octal numbering: 444 stack, 445
 // files, 446 stream hello, 447 heartbeat.
 const HeartbeatMagic = 0o447
-
-// ProcStat is one run-queue entry advertised in a heartbeat: a VM
-// (migratable) process with enough accounting for a remote balancer to
-// pick candidates without inspecting the peer's process table.
-type ProcStat struct {
-	PID    int
-	OldPID int          // pre-migration pid (0 if never migrated)
-	Age    sim.Duration // virtual time since the process started
-	CPU    sim.Duration // user CPU consumed
-}
 
 // MemberSummary is gossip about a third party: what the sender's
 // membership table says about another host. Age is how long before the
@@ -86,17 +79,13 @@ type Heartbeat struct {
 	Host      string
 	Seq       uint32
 	Inc       uint32
-	Load      int // run-queue length (kernel.Machine.Load)
-	Procs     []ProcStat
+	Load      int             // run-queue length (kernel.Machine.Load)
 	Summaries []MemberSummary // piggybacked gossip (optional on the wire)
 }
 
 // hbHeaderWire is the encoded size of a heartbeat's fixed fields (magic,
-// host length, seq, inc, load, proc count), less the host name.
-const hbHeaderWire = 2 + 2 + 4 + 4 + 4 + 2
-
-// procStatWire is the encoded size of one ProcStat.
-const procStatWire = 4 + 4 + 8 + 8
+// host length, seq, inc, load), less the host name.
+const hbHeaderWire = 2 + 2 + 4 + 4 + 4
 
 var errBadHeartbeat = errors.New("ha: bad heartbeat")
 
@@ -106,9 +95,8 @@ var hbAck = []byte{1}
 
 // AppendTo serializes the heartbeat onto b and returns the extended slice;
 // passing a reused scratch buffer makes steady-state encoding
-// allocation-free. The summary block is emitted only when non-empty,
-// keeping the byte stream identical to the pre-gossip format otherwise
-// (old decoders read new proc-only beacons and vice versa).
+// allocation-free. The summary block is emitted only when non-empty, so
+// a beacon with no news is its header alone.
 func (hb *Heartbeat) AppendTo(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, HeartbeatMagic)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Host)))
@@ -116,13 +104,6 @@ func (hb *Heartbeat) AppendTo(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, hb.Seq)
 	b = binary.BigEndian.AppendUint32(b, hb.Inc)
 	b = binary.BigEndian.AppendUint32(b, uint32(hb.Load))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Procs)))
-	for _, ps := range hb.Procs {
-		b = binary.BigEndian.AppendUint32(b, uint32(ps.PID))
-		b = binary.BigEndian.AppendUint32(b, uint32(ps.OldPID))
-		b = binary.BigEndian.AppendUint64(b, uint64(ps.Age))
-		b = binary.BigEndian.AppendUint64(b, uint64(ps.CPU))
-	}
 	if len(hb.Summaries) > 0 {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Summaries)))
 		for _, s := range hb.Summaries {
@@ -153,7 +134,7 @@ func appendSummary(b []byte, s MemberSummary) []byte {
 
 // Encode serializes a heartbeat into fresh storage.
 func (hb *Heartbeat) Encode() []byte {
-	return hb.AppendTo(make([]byte, 0, 20+len(hb.Host)+len(hb.Procs)*procStatWire+len(hb.Summaries)*29))
+	return hb.AppendTo(make([]byte, 0, hbHeaderWire+len(hb.Host)+2+len(hb.Summaries)*29))
 }
 
 // DecodeHeartbeat parses a beacon. Counts are validated against the
@@ -166,7 +147,7 @@ func DecodeHeartbeat(raw []byte) (*Heartbeat, error) {
 		return nil, err
 	}
 	if p == len(raw) {
-		return hb, nil // pre-gossip format: no summary block
+		return hb, nil // no news: no summary block
 	}
 	ns, err := validateSummaries(raw, p)
 	if err != nil {
@@ -188,20 +169,19 @@ func DecodeHeartbeat(raw []byte) (*Heartbeat, error) {
 	return hb, nil
 }
 
-// decodeHBMain parses the fixed header, host and proc block, returning the
-// offset where the optional summary block begins and the sender's state
-// when ms (which may be nil) already knows the host. The sender's name is
-// then the table's own copy, so a beacon from a known sender allocates no
-// string.
+// decodeHBMain parses the fixed header and host, returning the offset
+// where the optional summary block begins and the sender's state when ms
+// (which may be nil) already knows the host. The sender's name is then the
+// table's own copy, so a beacon from a known sender allocates no string.
 func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, *memberState, error) {
-	if len(raw) < 18 {
+	if len(raw) < hbHeaderWire {
 		return 0, nil, errBadHeartbeat
 	}
 	if binary.BigEndian.Uint16(raw) != HeartbeatMagic {
 		return 0, nil, errBadHeartbeat
 	}
 	hostLen := int(binary.BigEndian.Uint16(raw[2:]))
-	if len(raw) < 4+hostLen+14 {
+	if len(raw) < hbHeaderWire+hostLen {
 		return 0, nil, errBadHeartbeat
 	}
 	st, host := ms.sender(raw[4 : 4+hostLen])
@@ -210,22 +190,7 @@ func decodeHBMain(raw []byte, hb *Heartbeat, ms *Membership) (int, *memberState,
 	hb.Seq = binary.BigEndian.Uint32(raw[p:])
 	hb.Inc = binary.BigEndian.Uint32(raw[p+4:])
 	hb.Load = int(int32(binary.BigEndian.Uint32(raw[p+8:])))
-	n := int(binary.BigEndian.Uint16(raw[p+12:]))
-	p += 14
-	if len(raw)-p < n*procStatWire {
-		return 0, nil, errBadHeartbeat
-	}
-	hb.Procs = hb.Procs[:0]
-	for i := 0; i < n; i++ {
-		hb.Procs = append(hb.Procs, ProcStat{
-			PID:    int(int32(binary.BigEndian.Uint32(raw[p:]))),
-			OldPID: int(int32(binary.BigEndian.Uint32(raw[p+4:]))),
-			Age:    sim.Duration(binary.BigEndian.Uint64(raw[p+8:])),
-			CPU:    sim.Duration(binary.BigEndian.Uint64(raw[p+16:])),
-		})
-		p += procStatWire
-	}
-	return p, st, nil
+	return p + 12, st, nil
 }
 
 // validateSummaries checks the whole summary block at offset p — count,
@@ -314,15 +279,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// StatSource is what hbd reads from its own host to build a beacon. A
-// kernel.Machine is the real source; scale scenarios substitute synthetic
-// ones so a 1,000-host cluster need not boot 1,000 kernels.
+// StatSource is what hbd reads from its own host to build a beacon and to
+// answer a census query. A kernel.Machine is the real source; scale
+// scenarios substitute synthetic ones so a 1,000-host cluster need not
+// boot 1,000 kernels.
 type StatSource interface {
 	HostName() string
 	RunQueueLen() int
 	// AppendProcStats appends the migratable run-queue entries — VM
 	// processes, and spawned ones whose image is still loading — to dst
-	// and returns it (scratch-friendly: dst is reused across intervals).
+	// and returns it (scratch-friendly: dst is reused across queries).
 	AppendProcStats(now sim.Time, dst []ProcStat) []ProcStat
 }
 
@@ -370,6 +336,7 @@ type Node struct {
 	txHB   Heartbeat
 	rxHB   Heartbeat
 	digest core.StoreSummary // sync request digest
+	procs  []ProcStat        // census answer scratch
 
 	cBeaconsOut *obs.Counter
 	cBeaconsIn  *obs.Counter
@@ -383,7 +350,7 @@ type Node struct {
 }
 
 // Start wires the full control plane into a machine: listeners for
-// heartbeats and guardian traffic, plus the background
+// heartbeats, census queries and guardian traffic, plus the background
 // beacon/checkpoint/monitor loops. Call SetPeers before the engine runs;
 // call Stop to let the engine quiesce (the loops otherwise beacon
 // forever).
@@ -425,6 +392,9 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 		return nil, err
 	}
 	if err := host.Listen(MemberSyncPort, n.handleSync); err != nil {
+		return nil, err
+	}
+	if err := host.Listen(CensusPort, n.handleCensus); err != nil {
 		return nil, err
 	}
 	// Staggered start: machines boot at slightly different phases, like
@@ -493,6 +463,7 @@ func (n *Node) Shutdown() {
 	n.Stop()
 	n.host.Unlisten(HBPort)
 	n.host.Unlisten(MemberSyncPort)
+	n.host.Unlisten(CensusPort)
 	if n.Guard != nil {
 		n.host.Unlisten(GuardPort)
 		n.host.UnlistenStream(GuardSpoolPort)
@@ -515,7 +486,6 @@ func (n *Node) beacon(now sim.Time) *Heartbeat {
 	hb.Seq = n.seq
 	hb.Inc = n.inc
 	hb.Load = n.src.RunQueueLen()
-	hb.Procs = n.src.AppendProcStats(now, hb.Procs[:0])
 	hb.Summaries = n.members.appendGossip(hb.Summaries[:0], n.fanout, now)
 	return hb
 }
@@ -652,17 +622,16 @@ func (n *Node) appendSyncRequest(b []byte) []byte {
 	return encodeSyncRequest(b, &hb, &n.digest)
 }
 
-// syncHeader is the beacon header both halves of a sync carry: no proc
-// block, no news.
+// syncHeader is the beacon header both halves of a sync carry: no news.
 func (n *Node) syncHeader() Heartbeat {
 	return Heartbeat{Host: n.src.HostName(), Seq: n.seq, Inc: n.inc, Load: n.src.RunQueueLen()}
 }
 
 var errBadSyncRequest = errors.New("ha: bad sync request")
 
-// encodeSyncRequest encodes a sync request onto b: hb's header — its proc
-// block and summaries must be empty — then the digest d in the page-store
-// summary encoding, whose Gen is the salt.
+// encodeSyncRequest encodes a sync request onto b: hb's header — its
+// summaries must be empty — then the digest d in the page-store summary
+// encoding, whose Gen is the salt.
 func encodeSyncRequest(b []byte, hb *Heartbeat, d *core.StoreSummary) []byte {
 	return d.AppendTo(hb.AppendTo(b))
 }
@@ -670,17 +639,14 @@ func encodeSyncRequest(b []byte, hb *Heartbeat, d *core.StoreSummary) []byte {
 // decodeSyncRequest parses a sync request into hb (naming the sender with
 // ms's copy of a known host, as decodeHBMain does) and returns the
 // sender's state (nil if ms does not know it) and the digest, whose bitmap
-// aliases raw. It accepts only what encodeSyncRequest writes:
-// a header with an empty proc block, then exactly one digest and nothing
-// after it. The digest's bitmap may be at most core.StoreSummaryMaxBytes
-// long, and a longer claimed length is refused before the bitmap is read.
+// aliases raw. It accepts only what encodeSyncRequest writes: a header,
+// then exactly one digest and nothing after it. The digest's bitmap may be
+// at most core.StoreSummaryMaxBytes long, and a longer claimed length is
+// refused before the bitmap is read.
 func decodeSyncRequest(raw []byte, hb *Heartbeat, ms *Membership) (*memberState, core.StoreSummary, error) {
 	p, st, err := decodeHBMain(raw, hb, ms)
 	if err != nil {
 		return nil, core.StoreSummary{}, err
-	}
-	if len(hb.Procs) != 0 {
-		return nil, core.StoreSummary{}, errBadSyncRequest
 	}
 	d, err := core.DecodeStoreSummaryView(raw[p:])
 	if err != nil {

@@ -16,9 +16,9 @@ import (
 // a hostile length field, and every beacon it does accept must re-encode
 // to exactly the bytes it was decoded from.
 func FuzzDecodeHeartbeat(f *testing.F) {
-	good := &ha.Heartbeat{Host: "alpha", Seq: 42, Load: 3, Procs: []ha.ProcStat{
-		{PID: 1042, OldPID: 17, Age: 9 * sim.Second, CPU: 4 * sim.Second},
-		{PID: 2042, Age: sim.Second, CPU: 500 * sim.Millisecond},
+	good := &ha.Heartbeat{Host: "alpha", Seq: 42, Inc: 1, Load: 3, Summaries: []ha.MemberSummary{
+		{Host: "bravo", Seq: 7, Age: sim.Second},
+		{Host: "charlie", Seq: 3, Inc: 2, Load: 1, Age: 2 * sim.Second, Suspect: true},
 	}}
 	raw := good.Encode()
 	f.Add(raw)
@@ -27,6 +27,7 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append(append([]byte{}, raw...), 0)) // trailing garbage
 	f.Add((&ha.Heartbeat{Host: "x"}).Encode())
+	f.Add(append((&ha.Heartbeat{Host: "x"}).Encode(), 0, 0)) // empty summary block
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hb, err := ha.DecodeHeartbeat(data)
 		if err != nil {
@@ -50,7 +51,6 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 func FuzzObserveHeartbeat(f *testing.F) {
 	const self = "alpha"
 	good := &ha.Heartbeat{Host: "bravo", Seq: 42, Inc: 1, Load: 3,
-		Procs: []ha.ProcStat{{PID: 1042, OldPID: 17, Age: 9 * sim.Second, CPU: 4 * sim.Second}},
 		Summaries: []ha.MemberSummary{
 			{Host: self, Seq: 7, Age: sim.Second},
 			{Host: "bravo", Seq: 41},
@@ -93,11 +93,11 @@ func FuzzObserveHeartbeat(f *testing.F) {
 		if _, _, err := ha.ObserveHeartbeat(small, data, sim.Time(10*sim.Second)); err != nil {
 			t.Fatalf("hinted table rejects what the plain one accepted: %v", err)
 		}
-		var buf, smallBuf ha.ViewBuf
-		if got, want := small.ViewInto(&smallBuf), ms.ViewInto(&buf); !reflect.DeepEqual(got, want) {
-			t.Fatalf("hinted table holds %+v, plain one %+v", got, want)
+		view := ms.ViewInto(nil)
+		if got := small.ViewInto(nil); !reflect.DeepEqual(got, view) {
+			t.Fatalf("hinted table holds %+v, plain one %+v", got, view)
 		}
-		for _, m := range ms.ViewInto(&buf) {
+		for _, m := range view {
 			want, _ := ms.Get(m.Host, 0)
 			if got, ok := small.Get(m.Host, 0); !ok || !reflect.DeepEqual(got, want) {
 				t.Fatalf("hinted table's %q is %+v (known %v), want %+v", m.Host, got, ok, want)
@@ -125,8 +125,8 @@ func FuzzDecodeSyncRequest(f *testing.F) {
 	f.Add(ha.SyncRequest(&ha.Heartbeat{Host: "x"}, ha.NewMembership("x")))
 	hdr := (&ha.Heartbeat{Host: "alpha", Seq: 42}).Encode()
 	f.Add(append(append([]byte{}, hdr...), 0o451>>8, 0o451&0xff, 0, 0, 0, 0, 0, 0, 0, 1, 7, 0xff, 0xff, 0xff, 0xff)) // digest length lies upward
-	withProcs := (&ha.Heartbeat{Host: "alpha", Procs: []ha.ProcStat{{PID: 1}}}).Encode()
-	f.Add(append(withProcs, raw[len(hdr):]...))
+	withNews := (&ha.Heartbeat{Host: "alpha", Summaries: []ha.MemberSummary{{Host: "b"}}}).Encode()
+	f.Add(append(withNews, raw[len(hdr):]...)) // news where the digest belongs
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hb, d, err := ha.DecodeSyncRequest(data)
 		if err != nil {
@@ -141,6 +141,41 @@ func FuzzDecodeSyncRequest(f *testing.F) {
 		}
 		if again := ha.EncodeSyncRequest(hb, &d); !bytes.Equal(again, data) {
 			t.Fatalf("accepted sync request does not round-trip:\n %x\nre-encoded\n %x", data, again)
+		}
+	})
+}
+
+// FuzzDecodeCensus throws arbitrary bytes at the census answer decoder.
+// Answers arrive over the (fault-injected) network, so the decoder must
+// never panic, must check the count against the remaining bytes before it
+// grows the destination — a refused answer allocates nothing — and every
+// answer it accepts must re-encode to exactly the bytes it was decoded
+// from.
+func FuzzDecodeCensus(f *testing.F) {
+	raw := ha.AppendCensus(nil, []ha.ProcStat{
+		{PID: 1042, OldPID: 17, Age: 9 * sim.Second, CPU: 4 * sim.Second},
+		{PID: 2042, Age: sim.Second, CPU: 500 * sim.Millisecond},
+	})
+	f.Add(raw)
+	f.Add(raw[:len(raw)-1])
+	f.Add(raw[:1])
+	f.Add([]byte{})
+	f.Add(append(append([]byte{}, raw...), 0)) // trailing garbage
+	f.Add(ha.AppendCensus(nil, nil))
+	f.Add([]byte{0xff, 0xff}) // count lies upward
+	f.Fuzz(func(t *testing.T, data []byte) {
+		procs, err := ha.DecodeCensus(data, nil)
+		if err != nil {
+			if len(procs) != 0 {
+				t.Fatalf("refused answer decoded to %+v", procs)
+			}
+			if allocs := testing.AllocsPerRun(1, func() { ha.DecodeCensus(data, nil) }); allocs != 0 {
+				t.Fatalf("refused answer allocated %v times", allocs)
+			}
+			return
+		}
+		if again := ha.AppendCensus(nil, procs); !bytes.Equal(again, data) {
+			t.Fatalf("accepted census does not round-trip:\n %x\nre-encoded\n %x", data, again)
 		}
 	})
 }

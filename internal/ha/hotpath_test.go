@@ -33,12 +33,11 @@ func loneNode(t *testing.T, inc uint32) (*ha.Node, *sim.Engine) {
 
 // TestBeaconFromKnownSenderAllocatesNothing pins hbd's receive path: once
 // the table knows a sender and every host it summarizes, decoding the
-// beacon, streaming its summaries into the table and folding in its new
-// proc census allocate nothing.
+// beacon, streaming its summaries into the table and folding in the
+// sender's new state allocate nothing.
 func TestBeaconFromKnownSenderAllocatesNothing(t *testing.T) {
 	node, eng := loneNode(t, 0)
 	hb := &ha.Heartbeat{Host: "peer", Seq: 1, Load: 2,
-		Procs: []ha.ProcStat{{PID: 1042, Age: sim.Second, CPU: sim.Millisecond}, {PID: 2042, OldPID: 7}},
 		Summaries: []ha.MemberSummary{
 			{Host: "alpha", Seq: 4},
 			{Host: "bravo", Seq: 2, Suspect: true},
@@ -60,8 +59,8 @@ func TestBeaconFromKnownSenderAllocatesNothing(t *testing.T) {
 		t.Fatalf("beacon from a known sender: %v allocs, want 0", allocs)
 	}
 	m, ok := node.Members().Get("peer", eng.Now())
-	if !ok || m.Seq != seq || len(m.Procs) != 2 {
-		t.Fatalf("peer row %+v (known %v), want seq %d with 2 procs", m, ok, seq)
+	if !ok || m.Seq != seq || m.Load != 2 {
+		t.Fatalf("peer row %+v (known %v), want seq %d with load 2", m, ok, seq)
 	}
 }
 
@@ -165,7 +164,7 @@ func TestSyncPayloadGolden(t *testing.T) {
 
 // TestSyncRequestRefusesOversizedDigest: a digest longer than
 // core.StoreSummaryMaxBytes is refused, whether its bytes follow or the
-// length field merely claims them, and so is a request carrying procs.
+// length field merely claims them.
 func TestSyncRequestRefusesOversizedDigest(t *testing.T) {
 	node, _ := loneNode(t, 0)
 	hdr := (&ha.Heartbeat{Host: "peer", Seq: 1}).Encode()
@@ -173,8 +172,7 @@ func TestSyncRequestRefusesOversizedDigest(t *testing.T) {
 	full := append(append([]byte(nil), hdr...), big.Encode()...)
 	claim := full[:len(hdr)+15]
 	atCap := core.StoreSummary{Entries: 1, K: 7, Bits: make([]byte, core.StoreSummaryMaxBytes)}
-	withProcs := append((&ha.Heartbeat{Host: "peer", Seq: 1, Procs: []ha.ProcStat{{PID: 1}}}).Encode(), atCap.Encode()...)
-	for name, raw := range map[string][]byte{"oversized": full, "claimed": claim, "procs": withProcs} {
+	for name, raw := range map[string][]byte{"oversized": full, "claimed": claim} {
 		if _, _, err := ha.DecodeSyncRequest(raw); err == nil {
 			t.Errorf("%s request accepted", name)
 		}

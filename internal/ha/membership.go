@@ -24,8 +24,9 @@ import (
 //
 // The table is built for 1,000-host clusters: states are updated in place
 // (no per-beacon allocation once a member is known), reads go through
-// ViewInto/Get without copying proc lists anew each call, and the news
-// queue selects which members to gossip about in O(k).
+// ViewInto/Get into caller-owned rows, and the news queue selects which
+// members to gossip about in O(k). Which processes run on a member is not
+// in the table: a reader asks the member (Node.Census).
 //
 // Members are found through an open-addressed index rather than a Go
 // map: a power-of-two slice of state pointers, at most half full, probed
@@ -67,7 +68,6 @@ type memberState struct {
 	// once, however many stale suspect summaries are still circulating.
 	inc       uint32
 	load      int
-	procs     []ProcStat
 	lastHeard sim.Time
 	// suspected is the probe-failure verdict: set when a beacon to the
 	// member failed (or a peer gossiped that it did), cleared only by
@@ -81,8 +81,7 @@ type memberState struct {
 	suspected bool
 	inQueue   bool // sitting in the news queue
 	suspectAt sim.Time
-	censusAt  sim.Time // when procs was last refreshed by a direct beacon
-	markGen   uint64   // last appendGossip call that included this member
+	markGen   uint64 // last appendGossip call that included this member
 	// gossipLeft is the remaining retransmission budget for this member's
 	// latest news: granted on state changes — a suspicion, a refutation, a
 	// rebirth — and spent once per beacon the member is
@@ -97,28 +96,13 @@ type memberState struct {
 
 // Member is one row of the view at a given instant.
 type Member struct {
-	Host  string
-	Seq   uint32
-	Inc   uint32
-	Load  int
-	Procs []ProcStat
-	// CensusAt is when Procs was taken: the send time of the last direct
-	// beacon from this member. Gossip summaries refresh liveness but not
-	// the proc census, so at scale Procs can lag LastHeard by many
-	// intervals — a reader judging a process absent must compare against
-	// CensusAt, not LastHeard, or a stale census convicts a live process.
-	CensusAt  sim.Time
+	Host      string
+	Seq       uint32
+	Inc       uint32
+	Load      int
 	LastHeard sim.Time
 	Alive     bool
 	Suspected bool // probe-failure verdict (Alive is false while set)
-}
-
-// ViewBuf is caller-owned scratch for ViewInto: the member rows and a flat
-// proc arena the rows' Procs slices point into. Reusing one across calls
-// makes the read path allocation-free at steady state.
-type ViewBuf struct {
-	members []Member
-	procs   []ProcStat
 }
 
 // NewMembership creates an empty table for the named host. Node.SetPeers
@@ -222,8 +206,7 @@ func (ms *Membership) grant(st *memberState) {
 // Observe folds one directly received heartbeat into the table. Stale
 // beacons (a sequence number at or below the freshest seen) still refresh
 // liveness — a delayed duplicate proves the sender was alive when it sent —
-// but never roll the advertised state backward. The proc list is copied
-// into the member's own storage, so callers may reuse hb.Procs.
+// but never roll the advertised state backward.
 func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) { ms.observe(nil, hb, now) }
 
 // observe is Observe given the sender's state as the header decode
@@ -266,8 +249,6 @@ func (ms *Membership) observe(st *memberState, hb *Heartbeat, now sim.Time) {
 	}
 	st.seq = hb.Seq
 	st.load = hb.Load
-	st.procs = append(st.procs[:0], hb.Procs...)
-	st.censusAt = now
 }
 
 // Suspect records a failed probe of host: the caller beaconed to it and
@@ -290,8 +271,7 @@ func (ms *Membership) Suspect(host string, now sim.Time) {
 // heard is the sender's claim of when the member was last heard (already
 // converted to local virtual time); liveness only ever moves forward, so
 // replaying old summaries cannot re-suspect a member (no flapping), and a
-// member's own fresher beacons always win. Summaries carry no proc lists —
-// those flow only on direct beacons.
+// member's own fresher beacons always win.
 func (ms *Membership) ObserveSummary(s MemberSummary, heard, now sim.Time) {
 	if s.Host == ms.self {
 		return // self-liveness comes from beaconing, not hearsay
@@ -542,54 +522,33 @@ func (ms *Membership) LastHeard(host string) (sim.Time, bool) {
 	return st.lastHeard, true
 }
 
-// Get returns the named member's row without copying. The Procs slice
-// aliases the table's internal storage: it is valid until the next beacon
-// from that member is observed, so callers must copy anything they need
-// across a park.
+// Get returns the named member's row.
 func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 	st := lookup(ms, host)
 	if st == nil {
 		return Member{}, false
 	}
+	return st.row(), true
+}
+
+// ViewInto snapshots the table into dst[:0], sorted by host name, and
+// returns the rows. The snapshot is stable across parks (beacons arriving
+// later mutate the table, not dst); passing the previous result back in
+// makes the call allocation-free at steady state.
+func (ms *Membership) ViewInto(dst []Member) []Member {
+	out := dst[:0]
+	for _, st := range ms.byName {
+		out = append(out, st.row())
+	}
+	return out
+}
+
+// row is the member's view row.
+func (st *memberState) row() Member {
 	return Member{
-		Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
-		CensusAt:  st.censusAt,
+		Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load,
 		LastHeard: st.lastHeard,
 		Alive:     !st.suspected,
 		Suspected: st.suspected,
-	}, true
-}
-
-// ViewInto snapshots the table into buf, sorted by host name, and returns
-// the member rows. The rows' Procs slices point into buf's arena; the
-// snapshot is stable across parks (beacons arriving later mutate the
-// table, not buf) but is overwritten by the next ViewInto on the same buf.
-// At steady state the call performs zero allocations.
-func (ms *Membership) ViewInto(buf *ViewBuf) []Member {
-	total := 0
-	for _, st := range ms.byName {
-		total += len(st.procs)
 	}
-	// Size the arena up front: growing it mid-fill would reallocate and
-	// strand earlier rows' Procs headers on the old backing array.
-	if cap(buf.procs) < total {
-		buf.procs = make([]ProcStat, 0, total+total/2)
-	}
-	procs := buf.procs[:0]
-	out := buf.members[:0]
-	for _, st := range ms.byName {
-		start := len(procs)
-		procs = append(procs, st.procs...)
-		out = append(out, Member{
-			Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load,
-			Procs:     procs[start:len(procs):len(procs)],
-			CensusAt:  st.censusAt,
-			LastHeard: st.lastHeard,
-			Alive:     !st.suspected,
-			Suspected: st.suspected,
-		})
-	}
-	buf.procs = procs
-	buf.members = out
-	return out
 }

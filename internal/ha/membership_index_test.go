@@ -14,12 +14,11 @@ import (
 
 // refMember is one row of refTable.
 type refMember struct {
-	seq, inc            uint32
-	load                int
-	procs               []ha.ProcStat
-	lastHeard, censusAt sim.Time
-	suspected           bool
-	suspectAt           sim.Time
+	seq, inc  uint32
+	load      int
+	lastHeard sim.Time
+	suspected bool
+	suspectAt sim.Time
 }
 
 // refTable is the membership rules over a Go map: the model the indexed
@@ -53,8 +52,7 @@ func (r *refTable) observe(hb *ha.Heartbeat, now sim.Time) {
 	if known && hb.Seq <= st.seq {
 		return
 	}
-	st.seq, st.load, st.censusAt = hb.Seq, hb.Load, now
-	st.procs = append([]ha.ProcStat(nil), hb.Procs...)
+	st.seq, st.load = hb.Seq, hb.Load
 }
 
 func (r *refTable) suspect(host string, now sim.Time) {
@@ -98,16 +96,8 @@ func (r *refTable) observeSummary(host string, seq, inc uint32, load int, suspec
 
 func (r *refTable) row(host string) ha.Member {
 	st := r.m[host]
-	return ha.Member{Host: host, Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
-		CensusAt: st.censusAt, LastHeard: st.lastHeard, Alive: !st.suspected, Suspected: st.suspected}
-}
-
-// sameRow compares two rows, treating empty and nil proc lists alike.
-func sameRow(a, b ha.Member) bool {
-	if len(a.Procs) == 0 && len(b.Procs) == 0 {
-		a.Procs, b.Procs = nil, nil
-	}
-	return reflect.DeepEqual(a, b)
+	return ha.Member{Host: host, Seq: st.seq, Inc: st.inc, Load: st.load,
+		LastHeard: st.lastHeard, Alive: !st.suspected, Suspected: st.suspected}
 }
 
 // TestMembershipIndexMatchesMapModel runs random sequences of Observe,
@@ -133,7 +123,7 @@ func TestMembershipIndexMatchesMapModel(t *testing.T) {
 				}
 				ms := ha.HintedMembership(self, hint)
 				ref := &refTable{self: self, m: map[string]*refMember{}}
-				var buf ha.ViewBuf
+				var view []ha.Member
 				now := sim.Time(0)
 				for op := 0; op < 3000; op++ {
 					now += sim.Time(rng.Intn(3)) * sim.Time(sim.Millisecond)
@@ -143,9 +133,6 @@ func TestMembershipIndexMatchesMapModel(t *testing.T) {
 					switch rng.Intn(4) {
 					case 0:
 						hb := &ha.Heartbeat{Host: host, Seq: seq, Inc: inc, Load: load}
-						for p := rng.Intn(3); p > 0; p-- {
-							hb.Procs = append(hb.Procs, ha.ProcStat{PID: rng.Intn(100)})
-						}
 						ms.Observe(hb, now)
 						ref.observe(hb, now)
 					case 1:
@@ -168,16 +155,16 @@ func TestMembershipIndexMatchesMapModel(t *testing.T) {
 						want = append(want, h)
 					}
 					sort.Strings(want)
-					view := ms.ViewInto(&buf)
+					view = ms.ViewInto(view)
 					for i, h := range want {
-						if view[i].Host != h || !sameRow(view[i], ref.row(h)) {
+						if view[i].Host != h || !reflect.DeepEqual(view[i], ref.row(h)) {
 							t.Fatalf("op %d: view row %d %+v, model %+v", op, i, view[i], ref.row(h))
 						}
 					}
 					for _, h := range names {
 						st, known := ref.m[h]
 						got, ok := ms.Get(h, now)
-						if ok != known || known && !sameRow(got, ref.row(h)) {
+						if ok != known || known && !reflect.DeepEqual(got, ref.row(h)) {
 							t.Fatalf("op %d: Get(%s) = %+v %v, model %+v %v", op, h, got, ok, ref.row(h), known)
 						}
 						if alive := ms.Alive(h, now); alive != (known && !st.suspected) {

@@ -262,7 +262,8 @@ func (c *Cluster) Console(name string) *tty.Terminal { return c.consoles[name] }
 // Names lists the machines in boot order.
 func (c *Cluster) Names() []string { return append([]string(nil), c.order...) }
 
-// InstallVM assembles src and installs it at path on every machine.
+// InstallVM assembles src and installs it at path on every machine. Every
+// disk keeps the one encoded image until a machine writes into its copy.
 func (c *Cluster) InstallVM(path, src string) error {
 	exe, err := asm.Assemble(src)
 	if err != nil {

@@ -114,7 +114,9 @@ type Spooled struct {
 
 // SpoolImage writes an image's dump files to m's /usr/tmp as pid's, owned
 // by the credentials its stack header names, charging the disk for each.
-// On failure it removes whatever it wrote.
+// The files keep the buffers rather than copies of them, so the caller
+// must not modify them afterwards. On failure it removes whatever it
+// wrote.
 func SpoolImage(t *sim.Task, m *kernel.Machine, pid int, aoutRaw, filesRaw, stackRaw []byte) (*Spooled, error) {
 	creds, _, err := DecodeStackHeader(stackRaw)
 	if err != nil {

@@ -237,32 +237,11 @@ func (p *Proc) writeCore() {
 // namei and disk costs — a kernel-internal file write used by the dump
 // paths (the files are created by the dying process itself, as with core
 // dumps; dumpproc then has to wait for them, which is Figure 2's CPU/real
-// gap).
+// gap). As with vfs.Namespace.WriteFile, the file may keep data.
 func (p *Proc) WriteFileCharged(abs string, data []byte, mode uint16) errno.Errno {
 	p.nameiCharge(abs)
-	ns := p.M.ns
-	var pl vfs.Place
-	if existing, err := ns.Resolve(abs, true); err == nil {
-		if existing.Attr.Type != vfs.TypeFile {
-			return errno.EINVAL
-		}
-		if err := existing.FS.Truncate(existing.Node, 0); err != nil {
-			return errno.Of(err)
-		}
-		pl = existing
-	} else {
-		dir, base, err := ns.ResolveParent(abs)
-		if err != nil {
-			return errno.Of(err)
-		}
-		node, err := dir.FS.Create(dir.Node, base, mode, p.Creds.EUID, p.Creds.EGID)
-		if err != nil {
-			return errno.Of(err)
-		}
-		attr, _ := dir.FS.Getattr(node)
-		pl = vfs.Place{FS: dir.FS, Node: node, Attr: attr, Canon: dir.Canon + "/" + base}
-	}
-	if _, err := pl.FS.WriteAt(pl.Node, 0, data); err != nil {
+	pl, err := p.M.ns.PutFile(abs, data, mode, p.Creds.EUID, p.Creds.EGID)
+	if err != nil {
 		return errno.Of(err)
 	}
 	p.diskCharge(pl, len(data))

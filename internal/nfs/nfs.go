@@ -330,6 +330,13 @@ func (c *Client) WriteAt(n vfs.NodeID, off int64, data []byte) (int, error) {
 	return resp.N, nil
 }
 
+// Fill implements vfs.BaseFS as one write at offset 0: the bytes go out
+// on the wire, so the caller's buffer is never kept.
+func (c *Client) Fill(n vfs.NodeID, data []byte) error {
+	_, err := c.WriteAt(n, 0, data)
+	return err
+}
+
 // Truncate implements vfs.BaseFS.
 func (c *Client) Truncate(n vfs.NodeID, size int64) error {
 	_, err := c.call(&request{Op: "truncate", Node: n, Size: size})

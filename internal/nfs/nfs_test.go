@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"fmt"
 	"testing"
 
 	"procmig/internal/errno"
@@ -189,5 +190,54 @@ func TestServerCostsCharged(t *testing.T) {
 	// OpCPU (1ms) + disk latency (5ms) = 6ms.
 	if elapsed != sim.Time(6*sim.Millisecond) {
 		t.Fatalf("elapsed = %d, want 6ms", elapsed)
+	}
+}
+
+// opLog is a server-side filesystem that records the data-path ops it
+// serves.
+type opLog struct {
+	*vfs.MemFS
+	ops []string
+}
+
+func (l *opLog) Create(dir vfs.NodeID, name string, mode uint16, uid, gid int) (vfs.NodeID, error) {
+	l.ops = append(l.ops, "create "+name)
+	return l.MemFS.Create(dir, name, mode, uid, gid)
+}
+
+func (l *opLog) Truncate(n vfs.NodeID, size int64) error {
+	l.ops = append(l.ops, fmt.Sprintf("truncate %d", size))
+	return l.MemFS.Truncate(n, size)
+}
+
+func (l *opLog) WriteAt(n vfs.NodeID, off int64, data []byte) (int, error) {
+	l.ops = append(l.ops, fmt.Sprintf("write %d+%d", off, len(data)))
+	return l.MemFS.WriteAt(n, off, data)
+}
+
+// TestWriteFileRemoteOps: a whole-file write over NFS is a create or a
+// truncate and then one write at offset 0, and the bytes cross the wire:
+// the caller may reuse its buffer at once.
+func TestWriteFileRemoteOps(t *testing.T) {
+	net := netsim.New(sim.NewEngine(), 500*sim.Microsecond, sim.Microsecond)
+	server := &opLog{MemFS: vfs.NewMemFS()}
+	if err := Serve(net.AddHost("server"), server, nil, ServerCosts{}); err != nil {
+		t.Fatal(err)
+	}
+	ns := vfs.NewNamespace(NewClient(net.AddHost("client"), "server"))
+	buf := []byte("first")
+	for _, want := range [][]string{{"create f", "write 0+5"}, {"truncate 0", "write 0+5"}} {
+		server.ops = nil
+		if err := ns.WriteFile("/f", buf, 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(server.ops) != fmt.Sprint(want) {
+			t.Fatalf("ops %q, want %q", server.ops, want)
+		}
+		copy(buf, "reuse")
+		if got, _ := ns.ReadFile("/f"); string(got) == "reuse" {
+			t.Fatal("the server's file shares the client's buffer")
+		}
+		copy(buf, "first")
 	}
 }

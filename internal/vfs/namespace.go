@@ -243,28 +243,38 @@ func (ns *Namespace) ReadFile(path string) ([]byte, error) {
 	return p.FS.ReadAt(p.Node, 0, int(p.Attr.Size))
 }
 
-// WriteFile creates (or truncates) the regular file at path and writes data.
+// WriteFile creates (or truncates) the regular file at path and fills it
+// with data. The filesystem may keep data rather than copy it (see
+// BaseFS.Fill), so the caller must not modify data afterwards.
 func (ns *Namespace) WriteFile(path string, data []byte, mode uint16, uid, gid int) error {
-	if p, err := ns.Resolve(path, true); err == nil {
+	_, err := ns.PutFile(path, data, mode, uid, gid)
+	return err
+}
+
+// PutFile is WriteFile returning the file written, for a caller that
+// charges the write by where it landed. Only Place.FS and Place.Node are
+// set for a file it creates.
+func (ns *Namespace) PutFile(path string, data []byte, mode uint16, uid, gid int) (Place, error) {
+	p, err := ns.Resolve(path, true)
+	if err == nil {
 		if p.Attr.Type != TypeFile {
-			return errno.EINVAL
+			return Place{}, errno.EINVAL
 		}
 		if err := p.FS.Truncate(p.Node, 0); err != nil {
-			return err
+			return Place{}, err
 		}
-		_, err = p.FS.WriteAt(p.Node, 0, data)
-		return err
+	} else {
+		dir, base, err := ns.ResolveParent(path)
+		if err != nil {
+			return Place{}, err
+		}
+		node, err := dir.FS.Create(dir.Node, base, mode, uid, gid)
+		if err != nil {
+			return Place{}, err
+		}
+		p = Place{FS: dir.FS, Node: node}
 	}
-	dir, base, err := ns.ResolveParent(path)
-	if err != nil {
-		return err
-	}
-	node, err := dir.FS.Create(dir.Node, base, mode, uid, gid)
-	if err != nil {
-		return err
-	}
-	_, err = dir.FS.WriteAt(node, 0, data)
-	return err
+	return p, p.FS.Fill(p.Node, data)
 }
 
 // MkdirAll creates the directory path and any missing parents.

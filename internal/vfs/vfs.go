@@ -72,7 +72,10 @@ type Dirent struct {
 }
 
 // BaseFS is the inode-level filesystem interface. MemFS implements it
-// directly; the NFS client implements it over the network.
+// directly; the NFS client implements it over the network. Reads hand the
+// caller a buffer of its own; a whole-file write (Fill) may keep the
+// caller's buffer, which is how one program image serves every machine it
+// is installed on and a spooled image lands in /usr/tmp without a copy.
 type BaseFS interface {
 	// Root returns the root directory's node.
 	Root() NodeID
@@ -107,6 +110,11 @@ type BaseFS interface {
 	// WriteAt writes data at off, extending the file (zero-filling any
 	// gap) as needed. Returns bytes written.
 	WriteAt(n NodeID, off int64, data []byte) (int, error)
+	// Fill writes data as the whole contents of the regular file n, which
+	// the caller has just created or truncated to empty. It may keep data
+	// by reference instead of copying it, so the caller must not modify
+	// data afterwards.
+	Fill(n NodeID, data []byte) error
 	// Truncate sets a regular file's size.
 	Truncate(n NodeID, size int64) error
 }
@@ -114,8 +122,13 @@ type BaseFS interface {
 // --- MemFS -----------------------------------------------------------------
 
 type inode struct {
-	attr    Attr
+	attr Attr
+	// data holds a regular file's bytes: len(data) == attr.Size, and
+	// spare capacity past it is kept for appending writes. When shared,
+	// data is a buffer handed to Fill, which other files and the writer
+	// may hold too; it is copied before its first change.
 	data    []byte
+	shared  bool
 	entries map[string]NodeID // directories
 	parent  NodeID            // directories
 	target  string            // symlinks
@@ -339,8 +352,8 @@ func (fs *MemFS) ReadDir(n NodeID) ([]Dirent, error) {
 	return out, nil
 }
 
-// ReadAt implements BaseFS.
-func (fs *MemFS) ReadAt(n NodeID, off int64, ln int) ([]byte, error) {
+// file returns n's inode if it is a regular file.
+func (fs *MemFS) file(n NodeID) (*inode, error) {
 	ino, err := fs.get(n)
 	if err != nil {
 		return nil, err
@@ -350,6 +363,15 @@ func (fs *MemFS) ReadAt(n NodeID, off int64, ln int) ([]byte, error) {
 	}
 	if ino.attr.Type != TypeFile {
 		return nil, errno.EINVAL
+	}
+	return ino, nil
+}
+
+// ReadAt implements BaseFS.
+func (fs *MemFS) ReadAt(n NodeID, off int64, ln int) ([]byte, error) {
+	ino, err := fs.file(n)
+	if err != nil {
+		return nil, err
 	}
 	if off < 0 {
 		return nil, errno.EINVAL
@@ -364,33 +386,40 @@ func (fs *MemFS) ReadAt(n NodeID, off int64, ln int) ([]byte, error) {
 	return append([]byte(nil), ino.data[off:end]...), nil
 }
 
-// WriteAt implements BaseFS.
+// WriteAt implements BaseFS. The first write into a shared file copies
+// it.
 func (fs *MemFS) WriteAt(n NodeID, off int64, data []byte) (int, error) {
-	ino, err := fs.get(n)
+	ino, err := fs.file(n)
 	if err != nil {
 		return 0, err
-	}
-	if ino.attr.Type == TypeDir {
-		return 0, errno.EISDIR
-	}
-	if ino.attr.Type != TypeFile {
-		return 0, errno.EINVAL
 	}
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
-	end := off + int64(len(data))
-	if end > int64(len(ino.data)) {
-		grown := make([]byte, end)
-		copy(grown, ino.data)
-		ino.data = grown
+	if end := off + int64(len(data)); end > int64(len(ino.data)) {
+		ino.grow(end)
+	} else if ino.shared {
+		ino.data, ino.shared = append([]byte(nil), ino.data...), false
 	}
 	copy(ino.data[off:], data)
-	ino.attr.Size = int64(len(ino.data))
 	return len(data), nil
 }
 
-// Truncate implements BaseFS.
+// Fill implements BaseFS by keeping data, capped at its length, as a
+// shared buffer: the first change to the file's bytes copies it.
+func (fs *MemFS) Fill(n NodeID, data []byte) error {
+	ino, err := fs.file(n)
+	if err != nil {
+		return err
+	}
+	ino.data = data[:len(data):len(data)]
+	ino.shared = len(data) > 0
+	ino.attr.Size = int64(len(data))
+	return nil
+}
+
+// Truncate implements BaseFS. Shrinking keeps the buffer (a shared one
+// stays shared); growing zero-fills.
 func (fs *MemFS) Truncate(n NodeID, size int64) error {
 	ino, err := fs.get(n)
 	if err != nil {
@@ -404,13 +433,27 @@ func (fs *MemFS) Truncate(n NodeID, size int64) error {
 	}
 	if size <= int64(len(ino.data)) {
 		ino.data = ino.data[:size]
+		ino.attr.Size = size
 	} else {
-		grown := make([]byte, size)
-		copy(grown, ino.data)
-		ino.data = grown
+		ino.grow(size)
+	}
+	return nil
+}
+
+// grow extends a file to size bytes, zero-filling, in a private buffer.
+// A reallocation reserves at least twice the old length, so a file built
+// by appending writes costs bytes linear in its size, not quadratic.
+func (ino *inode) grow(size int64) {
+	n := int64(len(ino.data))
+	if ino.shared || size > int64(cap(ino.data)) {
+		buf := make([]byte, size, max(size, 2*n))
+		copy(buf, ino.data)
+		ino.data, ino.shared = buf, false
+	} else {
+		ino.data = ino.data[:size]
+		clear(ino.data[n:])
 	}
 	ino.attr.Size = size
-	return nil
 }
 
 var _ BaseFS = (*MemFS)(nil)

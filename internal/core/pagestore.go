@@ -37,6 +37,7 @@ const DefaultStoreBudget = 4 << 20
 type storeEntry struct {
 	hash       uint64
 	data       []byte
+	lent       bool // Acquire handed data out: it is read-only and never recycled
 	prev, next *storeEntry
 }
 
@@ -135,12 +136,17 @@ func (ps *PageStore) touch(e *storeEntry) {
 	ps.pushFront(e)
 }
 
-// drop removes e entirely and recycles it.
+// drop removes e entirely and recycles it. A lent buffer is not recycled:
+// an image may still hold it, so it goes to the collector with the last
+// image that does, and the entry takes a fresh one on its next Insert.
 func (ps *PageStore) drop(e *storeEntry) {
 	ps.unlink(e)
 	delete(ps.entries, e.hash)
 	ps.bytes -= int64(len(e.data))
 	e.hash = 0
+	if e.lent {
+		e.data, e.lent = nil, false
+	}
 	e.prev = nil
 	e.next = ps.free
 	ps.free = e
@@ -151,9 +157,11 @@ func (ps *PageStore) drop(e *storeEntry) {
 
 // Insert stores a copy of data (one page) under h, evicting LRU entries
 // until the byte budget holds. Inserting a hash already present only
-// refreshes its LRU position. A zero-budget store ignores inserts.
+// refreshes its LRU position. A zero-budget store ignores inserts, and
+// every store ignores data that is not exactly one page, so whatever
+// Acquire lends is a whole page.
 func (ps *PageStore) Insert(h uint64, data []byte) {
-	if ps.budget <= 0 {
+	if ps.budget <= 0 || len(data) != vm.PageSize {
 		return
 	}
 	if e, ok := ps.entries[h]; ok {
@@ -185,13 +193,19 @@ func (ps *PageStore) Insert(h uint64, data []byte) {
 	}
 }
 
-// Acquire looks h up and re-verifies the stored bytes before handing them
-// out: the returned slice is the store's own storage, valid until the next
-// store mutation — callers copy, they do not keep it. A miss (never
-// inserted, or evicted since the summary was built) returns (nil, nil): the
-// caller NACKs for a resend. A hash mismatch means the entry went bad in
-// memory; the entry is dropped and the transfer must fail loudly — that is
-// the poisoning story, and it returns ErrHashMismatch.
+// Acquire looks h up and re-verifies the stored bytes before lending them
+// out: the returned slice is the store's own buffer, and the caller may keep
+// it for as long as it likes but must never write to it. From here on the
+// entry is lent: eviction, Reset or a poison drop releases the buffer
+// instead of recycling it, so no later Insert can rewrite bytes an image
+// holds. A host thus holds one buffer per content however many images
+// resolve refs to it. A miss (never inserted, or evicted since the summary
+// was built) returns (nil, nil): the caller NACKs for a resend. A hash
+// mismatch means the entry went bad in memory; the entry is dropped and
+// the transfer must fail loudly — that is the poisoning story, and it
+// returns ErrHashMismatch. An image does not re-check a buffer it already
+// holds: bytes that go bad after the lend are not re-detected there, as
+// for any other process memory.
 func (ps *PageStore) Acquire(h uint64) ([]byte, error) {
 	e, ok := ps.entries[h]
 	if !ok {
@@ -209,6 +223,7 @@ func (ps *PageStore) Acquire(h uint64) ([]byte, error) {
 		return nil, ErrHashMismatch
 	}
 	ps.touch(e)
+	e.lent = true
 	if ps.obs != nil {
 		ps.obs.Hits.Inc()
 	}

@@ -106,6 +106,13 @@ func TestPageStoreZeroBudget(t *testing.T) {
 	if ps.Len() != 0 || ps.Bytes() != 0 {
 		t.Fatalf("zero-budget store accepted an insert: %d entries", ps.Len())
 	}
+	// No store keeps data that is not one page: Acquire lends whole pages.
+	ps = NewPageStore(DefaultStoreBudget)
+	short := p[:vm.PageSize-1]
+	ps.Insert(vm.HashPage(short), short)
+	if ps.Len() != 0 {
+		t.Fatal("store accepted a short page")
+	}
 }
 
 func TestPageStorePoisonFailsLoudly(t *testing.T) {

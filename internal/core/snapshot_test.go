@@ -20,6 +20,7 @@ const (
 	opSync   = 's' // payload is a Stream.Sync query (a store-NACK poll)
 	opCommit = 'c' // no payload: the stream closed; commit a snapshot
 	opHello  = 'g' // payload is a stream hello: a new generation's assembler
+	opFlood  = 'f' // payload seeds pseudo-random pages that flood the store
 )
 
 func appendFrame(log []byte, op byte, payload []byte) []byte {
@@ -217,9 +218,12 @@ func TestGuardSnapshotSurvivesLaterDeltas(t *testing.T) {
 	h.requireSnapshotsIntact("after a committed delta")
 
 	asm, snap := h.buddy.asm, h.buddy.snaps[1]
-	for pg, p := range asm.pages {
-		if &p[0] != &snap.pages[pg][0] {
-			t.Fatalf("page %d not shared right after the commit", pg)
+	if len(asm.pages.root) != len(snap.pages.root) {
+		t.Fatal("snapshot root differs from the assembler's right after the commit")
+	}
+	for i, r := range asm.pages.root {
+		if r.c != snap.pages.root[i].c {
+			t.Fatalf("chunk %d not shared right after the commit", r.idx)
 		}
 	}
 
@@ -239,10 +243,10 @@ func TestGuardSnapshotSurvivesLaterDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pg := range []uint32{noisy, lzPage} {
-		if bytes.Equal(asm.pages[pg], snap.pages[pg]) {
+		if bytes.Equal(asm.pages.get(pg), snap.pages.get(pg)) {
 			t.Fatalf("torn write to page %d never landed; the test proves nothing", pg)
 		}
-		if &asm.pages[pg][0] == &snap.pages[pg][0] {
+		if &asm.pages.get(pg)[0] == &snap.pages.get(pg)[0] {
 			t.Fatalf("page %d written in place while a snapshot shares it", pg)
 		}
 	}
@@ -252,9 +256,10 @@ func TestGuardSnapshotSurvivesLaterDeltas(t *testing.T) {
 	}
 }
 
-// TestGuardCommitAllocatesDelta: committing one delta checkpoint of a
-// 256 KiB image allocates less than an eighth of the image — the map and
-// the delta's pages, not a rebuilt a.out.
+// TestGuardCommitAllocatesDelta: committing a one-page delta checkpoint of
+// a 256 KiB image allocates less than 4 KiB — the page table's root, the
+// one chunk and page the delta touches, and the records' own decoding; not
+// a copy of the page table, let alone a rebuilt a.out.
 func TestGuardCommitAllocatesDelta(t *testing.T) {
 	const dataLen = 256 << 10
 	hello := (&StreamHello{PID: 3, DataLen: dataLen, Txn: 1}).Encode()
@@ -297,11 +302,122 @@ func TestGuardCommitAllocatesDelta(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCommit := (after.TotalAlloc - before.TotalAlloc) / rounds
-	if perCommit >= dataLen/8 {
-		t.Fatalf("a delta commit allocates %d B, want < %d (1/8 of the %d B image)",
-			perCommit, dataLen/8, dataLen)
+	if perCommit >= 4<<10 {
+		t.Fatalf("a one-page delta commit allocates %d B, want < 4096", perCommit)
 	}
 	t.Logf("delta commit of a %d KiB image allocates %d B", dataLen>>10, perCommit)
+}
+
+// TestGuardDuplicateTextChunkDoesNotCommit: the commit gate counts the
+// text the records cover, not the text they carry. A stream that carries
+// the first text chunk twice and never the second must not commit, a
+// chunk that would leave a hole before it is refused, and the missing
+// chunk then completes the image.
+func TestGuardDuplicateTextChunkDoesNotCommit(t *testing.T) {
+	const textLen = 2 * TextChunk
+	text := make([]byte, textLen)
+	for i := range text {
+		text[i] = byte(i*3 + 1)
+	}
+	asm, err := NewImageAssembler((&StreamHello{PID: 3, TextLen: textLen, Txn: 1}).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := appendTextRec(nil, 0, text[:TextChunk])
+	for _, rec := range [][]byte{
+		first, first,
+		encodeMetaRec(0, (&FilesFile{}).Encode(), (&StackFile{OldPID: 3}).Encode()),
+		(&CommitRecord{Txn: 1, PID: 3, TextLen: textLen}).Encode(),
+	} {
+		if err := asm.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if asm.Committed() {
+		t.Fatal("a stream missing half its text passes the commit gate")
+	}
+	if _, err := asm.Commit(); err == nil {
+		t.Fatal("a stream missing half its text committed")
+	}
+	if _, _, _, err := asm.Spool(); err == nil {
+		t.Fatal("a stream missing half its text spooled")
+	}
+	if err := asm.Apply(appendTextRec(nil, TextChunk+1, text[TextChunk+1:])); err != ErrTruncated {
+		t.Fatalf("text record past the covered end: err %v, want ErrTruncated", err)
+	}
+	if err := asm.Apply(appendTextRec(nil, TextChunk, text[TextChunk:])); err != nil {
+		t.Fatal(err)
+	}
+	a, _, _, err := asm.Spool()
+	if err != nil {
+		t.Fatalf("the complete text does not spool: %v", err)
+	}
+	if x, err := aout.Decode(a); err != nil || !bytes.Equal(x.Text, text) {
+		t.Fatalf("spooled text differs from the text sent (err %v)", err)
+	}
+}
+
+// TestStoreLentPageSurvivesEviction: a page resolved from the host store
+// borrows the store's buffer, so the store must never rewrite one. An image
+// whose pages came by speculative ref is committed; then the store is
+// flooded past its budget, reset, and refilled so that its free entries are
+// reused. The snapshot and the assembler still spool the committed files.
+func TestStoreLentPageSurvivesEviction(t *testing.T) {
+	h := newCkptHarness(t)
+	h.checkpoint()
+	h.newGeneration(h.buddy.store.Summary())
+	h.checkpoint()
+	store := h.buddy.store
+	lent := 0
+	for _, e := range store.entries {
+		if e.lent {
+			lent++
+		}
+	}
+	if h.sess.PagesSpec == 0 || lent == 0 {
+		t.Fatalf("%d speculative refs, %d lent entries: the test proves nothing", h.sess.PagesSpec, lent)
+	}
+
+	pages := int(store.Budget() / vm.PageSize)
+	gen := store.Gen()
+	floodStore(store, 1, pages+64)
+	if store.Gen() == gen {
+		t.Fatal("the flood evicted nothing")
+	}
+	store.Reset()
+	floodStore(store, 2, pages)
+
+	h.requireSnapshotsIntact("after the store was flooded, reset and refilled")
+	a, f, s, err := h.buddy.asm.Spool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(spooled{a, f, s}).equal(h.buddy.eager[len(h.buddy.eager)-1]) {
+		t.Fatal("the assembler no longer spools the files it committed")
+	}
+}
+
+// get returns pg's buffer, nil when no record has set it.
+func (t *pageTable) get(pg uint32) []byte {
+	if i, ok := t.find(pg); ok {
+		if p := t.root[i].c.pages[pg&(chunkPages-1)]; p != nil {
+			return p[:]
+		}
+	}
+	return nil
+}
+
+// floodStore inserts n distinct pseudo-random pages drawn from seed.
+func floodStore(ps *PageStore, seed uint32, n int) {
+	p := make([]byte, vm.PageSize)
+	x := seed
+	for range n {
+		for i := range p {
+			x = x*1664525 + 1013904223
+			p[i] = byte(x >> 24)
+		}
+		ps.Insert(vm.HashPage(p), p)
+	}
 }
 
 // TestSpoolBuildsEachFileOnce: spooling a committed image allocates three
@@ -364,8 +480,8 @@ func TestAssemblerRejectsOutOfRangeGeometry(t *testing.T) {
 			t.Errorf("%s record past the address space: err %v, want ErrBadGeometry", name, err)
 		}
 	}
-	if len(asm.pages) != 0 || len(asm.specMiss) != 0 {
-		t.Fatalf("out-of-range records grew the assembler: %d pages, %d misses", len(asm.pages), len(asm.specMiss))
+	if asm.pages.n != 0 || len(asm.pages.root) != 0 || len(asm.specMiss) != 0 {
+		t.Fatalf("out-of-range records grew the assembler: %d pages, %d misses", asm.pages.n, len(asm.specMiss))
 	}
 	if err := asm.Apply(appendPageZeroRec(nil, vm.NumPages-1)); err != nil {
 		t.Fatalf("highest page rejected: %v", err)

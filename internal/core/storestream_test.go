@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"procmig/internal/kernel"
@@ -205,6 +207,100 @@ func TestStorePoisonedEntryFailsLoudly(t *testing.T) {
 	}
 	if h.sink.err != ErrHashMismatch {
 		t.Fatalf("sink err = %v, want ErrHashMismatch", h.sink.err)
+	}
+}
+
+// TestStoreRefBatchAllocatesNoPages: a ref the host store satisfies
+// borrows the store's buffer. Resolving a batch of 256 store-held refs into
+// a fresh assembler allocates less than an eighth of the 256 KiB those
+// pages hold: the page table, not the pages.
+func TestStoreRefBatchAllocatesNoPages(t *testing.T) {
+	const n = 256
+	store := NewPageStore(DefaultStoreBudget)
+	batch := binary.BigEndian.AppendUint32([]byte{RecPageStoreRefBatch}, n)
+	page := make([]byte, vm.PageSize)
+	for pg := uint32(0); pg < n; pg++ {
+		binary.BigEndian.PutUint32(page, pg+1)
+		h := vm.HashPage(page)
+		store.Insert(h, page)
+		batch = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(batch, pg), h)
+	}
+	hello := (&StreamHello{PID: 3, DataLen: n * vm.PageSize, Txn: 1}).Encode()
+	asms := make([]*ImageAssembler, 8)
+	for i := range asms {
+		asm, err := NewImageAssembler(hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm.SetStore(store)
+		asms[i] = asm
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, asm := range asms {
+		if err := asm.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for _, asm := range asms {
+		if asm.pages.n != n || len(asm.specMiss) != 0 {
+			t.Fatalf("batch resolved %d pages with %d misses, want %d and none", asm.pages.n, len(asm.specMiss), n)
+		}
+	}
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / uint64(len(asms))
+	if perBatch >= n*vm.PageSize/8 {
+		t.Fatalf("resolving %d store-held refs allocates %d B, want < %d (1/8 of the pages)",
+			n, perBatch, n*vm.PageSize/8)
+	}
+	t.Logf("resolving %d store-held refs allocates %d B", n, perBatch)
+}
+
+// TestStoreBorrowedPageCopiedOnWrite: a record that lands on a page the
+// assembler borrowed from the store, before any commit, gets a fresh
+// buffer. Written in place, it would rewrite the store's entry under every
+// other image that borrowed it, and the store's next use would find it
+// poisoned.
+func TestStoreBorrowedPageCopiedOnWrite(t *testing.T) {
+	const pg = 5
+	store := NewPageStore(DefaultStoreBudget)
+	page := testPage(3)
+	h := vm.HashPage(page)
+	store.Insert(h, page)
+	ref := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32([]byte{RecPageStoreRefBatch, 0, 0, 0, 1}, pg), h)
+	other := testPage(4)
+	hello := (&StreamHello{PID: 3, DataLen: 8 * vm.PageSize}).Encode()
+	borrower := func() *ImageAssembler {
+		asm, err := NewImageAssembler(hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm.SetStore(store)
+		if err := asm.Apply(ref); err != nil {
+			t.Fatal(err)
+		}
+		return asm
+	}
+	bystander := borrower()
+	for name, rec := range map[string][]byte{
+		"page":    appendPageRec(nil, pg, other),
+		"zero":    appendPageZeroRec(nil, pg),
+		"LZ page": appendPageLZRec(nil, pg, AppendLZ(nil, other)),
+	} {
+		asm := borrower()
+		if err := asm.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(asm.pages.get(pg), page) {
+			t.Fatalf("%s record never landed; the test proves nothing", name)
+		}
+		if !bytes.Equal(bystander.pages.get(pg), page) {
+			t.Fatalf("%s record rewrote a page another image borrowed", name)
+		}
+		if data, err := store.Acquire(h); err != nil || !bytes.Equal(data, page) {
+			t.Fatalf("%s record rewrote the store's entry (err %v)", name, err)
+		}
 	}
 }
 

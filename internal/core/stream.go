@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -996,26 +996,27 @@ func streamDumpSend(p *kernel.Proc, sess *StreamSession) errno.Errno {
 // assembler with Spool. A long-lived one (the guardian buddy, which
 // applies delta after delta to one assembler) takes a CommittedImage
 // snapshot with Commit at every commit and builds the files only when it
-// needs them. After a Commit the assembler is copy-on-write: a record that
-// overwrites a page or the text the newest snapshot still shares first
-// gets a fresh buffer, so no later record — committed or torn — can reach
-// into a committed image.
+// needs them.
+//
+// A page buffer is written in place only while the assembler alone can
+// reach it. A page resolved from the host store is the store's lent
+// buffer, and a page a snapshot shares belongs to the snapshot too; both
+// are read-only, so a record landing on one gets a fresh buffer and no
+// later record, committed or torn, can reach into the store or a
+// committed image. Text follows the same rule through textFrozen.
 type ImageAssembler struct {
 	hello    StreamHello
 	text     []byte
-	textGot  int
-	pages    map[uint32][]byte
+	textGot  int // length of the text prefix the records have covered
+	pages    pageTable
 	stackLen int
 	filesRaw []byte
 	sfRaw    []byte
 	metaSeen bool
 	commit   *CommitRecord
-	// frozen is the page map of the newest snapshot: a buffer in pages
-	// that is also frozen[pg] is shared and must not be written in place.
-	// Older snapshots need no check — every buffer they share with the
-	// assembler the newest one shares too.
-	frozen     map[uint32][]byte
-	textFrozen bool // the newest snapshot shares text
+	// textFrozen says the newest snapshot shares text: the next text
+	// record copies it first.
+	textFrozen bool
 	// store, when set, is the destination host's page store: speculative
 	// refs resolve against it, and every verified page that arrives by
 	// value feeds it. Outlives the assembler, so it is the one path by
@@ -1043,20 +1044,95 @@ func NewImageAssembler(helloRaw []byte) (*ImageAssembler, error) {
 	return &ImageAssembler{
 		hello: *h,
 		text:  make([]byte, h.TextLen),
-		pages: map[uint32][]byte{},
 	}, nil
 }
 
-// page returns pg's storage for overwriting, allocating it zeroed on first
-// touch or when the newest snapshot shares it (copy-on-write; the old
-// bytes are not copied because every caller overwrites the whole page).
-func (a *ImageAssembler) page(pg uint32) []byte {
-	p := a.pages[pg]
-	if f := a.frozen[pg]; p == nil || (f != nil && &f[0] == &p[0]) {
-		p = make([]byte, vm.PageSize)
-		a.pages[pg] = p
+// chunkShift sets the page table's fan-out: a chunk maps 64 consecutive
+// pages, one bit of a uint64 each.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+// pageChunk maps chunkPages consecutive pages. Bit i of owned says
+// pages[i] is the table's own buffer, which nothing else can reach, so it
+// may be overwritten in place; any other buffer is read-only. Array
+// pointers rather than slices keep a chunk, which a delta after a commit
+// copies, at 520 bytes.
+type pageChunk struct {
+	pages [chunkPages]*[vm.PageSize]byte
+	owned uint64
+}
+
+// chunkRef is one slot of a page table's root.
+type chunkRef struct {
+	c   *pageChunk
+	idx uint32 // pg >> chunkShift
+	own bool   // c is this table's alone; false once a snapshot shares it
+}
+
+// pageTable is the assembler's copy-on-write page map: a sparse root of
+// chunks sorted by index, and the number of pages present. share hands the
+// chunks to a snapshot and gives up ownership of them, so a commit costs
+// the root; the first later write to a chunk copies that chunk, and the
+// first write to a page it does not own gets a fresh buffer.
+type pageTable struct {
+	root []chunkRef
+	n    int
+}
+
+// find returns pg's root slot and whether it exists (else where it goes).
+func (t *pageTable) find(pg uint32) (int, bool) {
+	return slices.BinarySearchFunc(t.root, pg>>chunkShift, func(r chunkRef, idx uint32) int {
+		return cmp.Compare(r.idx, idx)
+	})
+}
+
+// chunk returns pg's chunk for writing, creating it or copying a shared
+// one first. The copy owns none of its buffers.
+func (t *pageTable) chunk(pg uint32) *pageChunk {
+	i, ok := t.find(pg)
+	if !ok {
+		t.root = slices.Insert(t.root, i, chunkRef{c: &pageChunk{}, idx: pg >> chunkShift, own: true})
+	} else if r := &t.root[i]; !r.own {
+		r.c = &pageChunk{pages: r.c.pages}
+		r.own = true
 	}
-	return p
+	return t.root[i].c
+}
+
+// writable returns pg's storage for overwriting: its own buffer, or a
+// fresh zeroed one when pg is unset or its buffer is read-only (the old
+// bytes are not copied because every caller overwrites the whole page).
+func (t *pageTable) writable(pg uint32) []byte {
+	c, i := t.chunk(pg), pg&(chunkPages-1)
+	if c.owned&(1<<i) == 0 {
+		if c.pages[i] == nil {
+			t.n++
+		}
+		c.pages[i] = new([vm.PageSize]byte)
+		c.owned |= 1 << i
+	}
+	return c.pages[i][:]
+}
+
+// borrow installs p, which the table must never write, as pg's buffer.
+func (t *pageTable) borrow(pg uint32, p *[vm.PageSize]byte) {
+	c, i := t.chunk(pg), pg&(chunkPages-1)
+	if c.pages[i] == nil {
+		t.n++
+	}
+	c.pages[i] = p
+	c.owned &^= 1 << i
+}
+
+// share returns a snapshot of the table that shares every chunk, and makes
+// the table copy a chunk before its next write to it.
+func (t *pageTable) share() pageTable {
+	for i := range t.root {
+		t.root[i].own = false
+	}
+	return pageTable{root: slices.Clone(t.root), n: t.n}
 }
 
 // zeroPageHash is the content hash of an all-zero page.
@@ -1079,7 +1155,10 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		if int(off)+n > len(a.text) {
+		// A record may overlap the text already covered but not leave a
+		// hole before it: textGot counts covered text, so a chunk that
+		// arrives twice cannot stand in for one that never arrived.
+		if int(off)+n > len(a.text) || int(off) > a.textGot {
 			return ErrTruncated
 		}
 		if a.textFrozen {
@@ -1087,7 +1166,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 			a.textFrozen = false
 		}
 		copy(a.text[off:], data)
-		a.textGot += n
+		a.textGot = max(a.textGot, int(off)+n)
 	case RecPage:
 		pg := r.pg()
 		n := int(r.u32())
@@ -1098,7 +1177,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		if n != vm.PageSize {
 			return ErrTruncated
 		}
-		copy(a.page(pg), data)
+		copy(a.pages.writable(pg), data)
 		a.storeInsert(data)
 		delete(a.specMiss, pg)
 	case RecPageZero:
@@ -1106,10 +1185,7 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		p := a.page(pg)
-		for i := range p {
-			p[i] = 0
-		}
+		clear(a.pages.writable(pg))
 		delete(a.specMiss, pg)
 	case RecPageStoreRefBatch:
 		n := int(r.u32())
@@ -1140,8 +1216,8 @@ func (a *ImageAssembler) Apply(rec []byte) error {
 		}
 		// Decode straight into the stored page. A corrupt frame may leave
 		// the page half-overwritten, but Committed never passes a torn
-		// stream, and the page is a fresh buffer if a snapshot shares pg.
-		p := a.page(pg)
+		// stream, and the page is a fresh buffer if pg's was read-only.
+		p := a.pages.writable(pg)
 		if err := DecompressLZInto(p, frame); err != nil {
 			return err
 		}
@@ -1184,7 +1260,8 @@ func (a *ImageAssembler) storeInsert(data []byte) {
 }
 
 // applyStoreRef resolves a speculative cross-session ref. Three outcomes:
-// the store holds the bytes and the page lands; the store misses —
+// the store holds the bytes and the page borrows the store's buffer, no
+// copy made; the store misses —
 // recorded for the NACK poll, never an error, because the source only
 // trusted a bloom filter; or the store entry is poisoned (re-verification
 // mismatch), which fails the transfer loudly with ErrHashMismatch —
@@ -1197,7 +1274,7 @@ func (a *ImageAssembler) applyStoreRef(pg uint32, h uint64) error {
 			return err
 		}
 		if data != nil {
-			copy(a.page(pg), data)
+			a.pages.borrow(pg, (*[vm.PageSize]byte)(data))
 			delete(a.specMiss, pg)
 			return nil
 		}
@@ -1277,7 +1354,7 @@ func (a *ImageAssembler) Committed() bool {
 		c.PID == a.hello.PID &&
 		c.TextLen == a.hello.TextLen &&
 		int(c.TextLen) <= a.textGot &&
-		int(c.PageCount) == len(a.pages) &&
+		int(c.PageCount) == a.pages.n &&
 		int(c.StackLen) == a.stackLen
 }
 
@@ -1300,19 +1377,19 @@ func overlay(dst []byte, dstBase uint32, page []byte, pageBase uint32) {
 
 // CommittedImage is an immutable snapshot of an assembler at a commit:
 // everything needed to build the three dump files, which Spool does on
-// demand. It shares page buffers with the assembler it came from; the
-// assembler's copy-on-write keeps them unchanged.
+// demand. It shares page chunks and buffers with the assembler it came
+// from and with the host store; their copy-on-write keeps them unchanged.
 type CommittedImage struct {
 	hello    StreamHello
 	text     []byte
-	pages    map[uint32][]byte
+	pages    pageTable
 	stackLen int
 	filesRaw []byte
 	sf       *StackFile // decoded sfRaw; Stack is filled in by Spool
 }
 
 // image runs every check a spool needs and returns the image as the
-// assembler holds it now, aliasing its text and page map.
+// assembler holds it now, aliasing its text and page table.
 func (a *ImageAssembler) image() (*CommittedImage, error) {
 	if !a.metaSeen {
 		return nil, ErrTruncated
@@ -1336,17 +1413,17 @@ func (a *ImageAssembler) image() (*CommittedImage, error) {
 	}, nil
 }
 
-// Commit checks the image exactly as Spool does and snapshots it: the page
-// map is copied (the buffers are not), and from here on the assembler
-// copies a shared buffer before overwriting it. A commit costs the map,
-// not the image.
+// Commit checks the image exactly as Spool does and snapshots it: the
+// snapshot shares the page table's chunks and copies only its root, and
+// from here on the assembler copies a chunk before its first write to it
+// and gives a written page a fresh buffer. A commit costs the root, and
+// the next delta the chunks and pages it touches, not the image.
 func (a *ImageAssembler) Commit() (*CommittedImage, error) {
 	img, err := a.image()
 	if err != nil {
 		return nil, err
 	}
-	img.pages = maps.Clone(a.pages)
-	a.frozen = img.pages
+	img.pages = a.pages.share()
 	a.textFrozen = true
 	return img, nil
 }
@@ -1373,10 +1450,15 @@ func (c *CommittedImage) Spool() (aoutRaw, filesRaw, stackRaw []byte) {
 	aoutRaw, data := aout.Layout(c.hello.ISA, c.hello.Entry, c.text, int(c.hello.DataLen))
 	stack := make([]byte, c.stackLen)
 	stackBase := uint32(vm.StackTop - c.stackLen)
-	for pg, contents := range c.pages {
-		base := pg << vm.PageShift
-		overlay(data, dataBase, contents, base)
-		overlay(stack, stackBase, contents, base)
+	for _, r := range c.pages.root {
+		for i, contents := range &r.c.pages {
+			if contents == nil {
+				continue
+			}
+			base := (r.idx<<chunkShift | uint32(i)) << vm.PageShift
+			overlay(data, dataBase, contents[:], base)
+			overlay(stack, stackBase, contents[:], base)
+		}
 	}
 	sf := *c.sf
 	sf.Stack = stack

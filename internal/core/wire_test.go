@@ -37,7 +37,7 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	if err := asm.Apply(appendPageLZRec(nil, 6, AppendLZ(nil, page))); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(asm.pages[6], page) {
+	if !bytes.Equal(asm.pages.get(6), page) {
 		t.Fatal("LZ page decoded wrong")
 	}
 
@@ -48,7 +48,7 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	if err := asm.Apply(appendPageZeroRec(nil, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if !vm.IsZeroPage(asm.pages[7]) {
+	if !vm.IsZeroPage(asm.pages.get(7)) {
 		t.Fatal("zero record did not scrub the page")
 	}
 

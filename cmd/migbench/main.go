@@ -187,9 +187,9 @@ func a14() error {
 	header(fmt.Sprintf("A14 — cluster page store: mass drain of %d identical replicas (%d KiB each) at %d hosts",
 		r.Replicas, r.DataKiB, r.Hosts))
 	for _, m := range []*experiments.A14Mode{&r.Raw, &r.Session, &r.Store} {
-		fmt.Printf("%-44s %.1f s drain (%d waves, %d moves), %.1f MiB shipped, %d prewarms\n",
+		fmt.Printf("%-44s %.1f s drain (%d waves, %d moves), %.1f MiB shipped\n",
 			m.Mode, m.DrainS, m.DrainWaves, m.DrainMoves,
-			float64(m.DrainBytes)/(1<<20), m.DrainPrewarms)
+			float64(m.DrainBytes)/(1<<20))
 	}
 	fmt.Printf("%-44s %d refs, %d nacked, %d store hits, %d evictions\n",
 		"store mode speculation", r.Store.SpecPages, r.Store.SpecNacks,

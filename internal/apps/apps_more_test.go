@@ -1,12 +1,15 @@
 package apps_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
 
 	"procmig/internal/apps"
 	"procmig/internal/cluster"
+	"procmig/internal/errno"
 	"procmig/internal/ha"
 	"procmig/internal/kernel"
 	"procmig/internal/sim"
@@ -198,5 +201,58 @@ func TestMigrateProcFailsForBadPid(t *testing.T) {
 	run(t, c)
 	if err == nil {
 		t.Fatal("MigrateProc of a nonexistent pid succeeded")
+	}
+}
+
+// TestPrecopyRefusesTxnZero: a precopy request without a transaction id
+// is input from outside that no client sends; migd answers EINVAL and
+// leaves the process running where it is. The request and answer types
+// mirror migd's, which gob matches by field name.
+func TestPrecopyRefusesTxnZero(t *testing.T) {
+	type precopyReq struct {
+		UID, GID, PID int
+		Dest          string
+		Rounds        int
+		Txn           uint32
+		Wire          byte
+	}
+	type remoteResp struct {
+		Status int
+		Err    string
+	}
+	c := boot(t, "brick", "schooner")
+	var resp remoteResp
+	var running bool
+	var callErr error
+	c.Eng.Go("driver", func(tk *sim.Task) {
+		p, _ := c.Spawn("brick", nil, user, "/bin/counter")
+		pid := p.PID
+		tk.Sleep(2 * sim.Second)
+		var req bytes.Buffer
+		if err := gob.NewEncoder(&req).Encode(&precopyReq{PID: pid, Dest: "schooner", Rounds: 2}); err != nil {
+			callErr = err
+			return
+		}
+		raw, err := c.NetHost("schooner").Call(tk, "brick", apps.MigdPrecopyPort, req.Bytes())
+		if err != nil {
+			callErr = err
+			return
+		}
+		callErr = gob.NewDecoder(bytes.NewReader(raw)).Decode(&resp)
+		running = p.State == kernel.ProcRunning
+		c.Machine("brick").Kill(kernel.Creds{}, pid, kernel.SIGKILL)
+	})
+	run(t, c)
+	if callErr != nil {
+		t.Fatal(callErr)
+	}
+	if resp.Status != -1 || resp.Err != errno.EINVAL.Error() {
+		t.Fatalf("txn 0 answered %+v, want EINVAL", resp)
+	}
+	if !running {
+		t.Fatal("the refused request stopped the process")
+	}
+	if n := c.NetHost("brick").ClientBytes(apps.MigdStreamPort); n != 0 {
+		t.Fatalf("a refused request streamed %d B", n)
 	}
 }

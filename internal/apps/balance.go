@@ -119,26 +119,6 @@ func cooldownKey(host string, pid int) string {
 	return fmt.Sprintf("%s/%d", host, pid)
 }
 
-// failReason buckets a migration failure into a stable metric label, so
-// dashboards can tell policy-layer failure modes apart (the txn layer's
-// own abort/retry counters live under migd's scope).
-func failReason(err error) string {
-	switch errno.Of(err) {
-	case errno.ETIMEDOUT:
-		return "timeout"
-	case errno.EHOSTDOWN:
-		return "host_down"
-	case errno.ECONNREFUSED:
-		return "refused"
-	case errno.EPERM:
-		return "denied"
-	case errno.ESRCH:
-		return "no_such_process"
-	default:
-		return "other"
-	}
-}
-
 func (b *Balancer) cooldown() sim.Duration {
 	if b.Cooldown > 0 {
 		return b.Cooldown
@@ -237,7 +217,7 @@ func (b *Balancer) Step(t *sim.Task) bool {
 	if err != nil {
 		ev.Err = err.Error()
 		b.Failed = append(b.Failed, ev)
-		b.count("balancer.failed." + failReason(err))
+		b.count("balancer.failed." + errno.FailLabel(err))
 		return false
 	}
 	b.Events = append(b.Events, ev)

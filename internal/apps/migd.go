@@ -28,15 +28,8 @@ type precopyReq struct {
 	PID      int
 	Dest     string
 	Rounds   int
-	Txn      uint32 // migration transaction id (0: untracked, no retry safety)
+	Txn      uint32 // migration transaction id; 0 is refused with EINVAL
 	Wire     byte   // core.WireMode for the image stream (0: elide+LZ)
-	// Prewarm runs the pre-copy rounds only — no freeze, no restart: the
-	// victim keeps running and the stream is aborted after the last round.
-	// The point is the side effect: the shipped pages land in the
-	// destination's page store, so a later real migration of this process
-	// (or any identical replica) elides them to refs. The controller
-	// overlaps drain waves with it.
-	Prewarm bool
 }
 
 // Adaptive pre-copy policy (Rounds < 0): keep copying while the dirty set
@@ -83,6 +76,11 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, st *migdState, host *netsim.H
 	if t != nil {
 		t.Sleep(MigdRequestCost)
 	}
+	if req.Txn == 0 {
+		// Every client names its transaction; without an id nothing could
+		// suppress a duplicate or resolve a lost answer.
+		return fail(errno.EINVAL.Error())
+	}
 	if st.committed(req.Txn) {
 		// A duplicate of a transaction that already committed: the first
 		// answer was lost, the migration was not.
@@ -125,10 +123,8 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, st *migdState, host *netsim.H
 		sess.Store = core.MachineStore(m)
 		sess.Remote = core.FetchStoreSummary(t, host, req.Dest)
 	}
-	if req.Txn != 0 {
-		sess.Resolve = func(rt *sim.Task) int {
-			return resolveTxn(rt, host, req.Dest, req.Txn)
-		}
+	sess.Resolve = func(rt *sim.Task) int {
+		return resolveTxn(rt, host, req.Dest, req.Txn)
 	}
 	at := func() sim.Time {
 		if t != nil {
@@ -146,10 +142,6 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, st *migdState, host *netsim.H
 		p.VM.SetDirtyTracking(false)
 		stream.Abort(t)
 		return fail(msg)
-	}
-	if req.Prewarm && req.Rounds == 0 {
-		// A prewarm with no rounds would ship nothing; run it adaptively.
-		req.Rounds = -1
 	}
 	if req.Rounds != 0 {
 		p.VM.SetDirtyTracking(true)
@@ -181,16 +173,6 @@ func handlePrecopy(t *sim.Task, m *kernel.Machine, st *migdState, host *netsim.H
 				prevDirty = d
 			}
 		}
-	}
-	if req.Prewarm {
-		// Rounds were the whole job: the shipped pages now sit in the
-		// destination's store. Abort the stream (the partial spool must
-		// not restart anything) and let the victim run on untracked — the
-		// real migration re-arms tracking itself.
-		p.VM.SetDirtyTracking(false)
-		stream.Abort(t)
-		st.recordStream(sess.Stats())
-		return encode(&remoteResp{Status: 0})
 	}
 	// On commit the process dies, on abort it resumes where it was.
 	settled, e := core.DumpToStream(t, p, creds, sess)

@@ -62,6 +62,16 @@ func decode(raw []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
 }
 
+// gob numbers wire types process-wide in first-use order, and every
+// message carries its types' ids, so a message's size would depend on
+// what the process encoded before. Encoding each daemon message once at
+// init fixes the ids before any cluster runs.
+func init() {
+	encode(&remoteReq{})
+	encode(&remoteResp{})
+	encode(&precopyReq{})
+}
+
 // runRemoteCommand executes one daemon request on machine m: spawn the
 // program on a network pty and wait for it.
 func runRemoteCommand(t *sim.Task, m *kernel.Machine, req *remoteReq) *remoteResp {

@@ -449,46 +449,14 @@ func ProbeAlive(t *sim.Task, from *netsim.Host, peer string) bool {
 // duplicate-suppressed retry; the caller learns it from the next
 // heartbeat's OldPID chain.
 func MigrateRemote(t *sim.Task, from *netsim.Host, src string, pid int, dst string) (int, error) {
-	txn := uint32(uint64(t.Now())*2654435761 + uint64(pid)*40503)
-	if txn == 0 {
-		txn = 1
-	}
-	var tr *obs.Tracer
-	if reg := from.Network().Obs(); reg != nil {
-		tr = reg.Tracer
-	}
-	root := tr.Root(txn, "migration", from.Name(), pid, t.Now())
-	if root != nil {
-		root.Detail = "classic " + src + " -> " + dst + " (policy)"
-	}
+	txn := policyTxnID(t, pid)
 	req := &remoteReq{
 		UID: 0, GID: 0,
 		Cmd: cmdTxMigrate,
 		Args: []string{strconv.FormatUint(uint64(txn), 10),
 			strconv.Itoa(pid), dst},
 	}
-	raw, err := callRetry(t, from, src, MigdPort, encode(req), txnCallAttempts)
-	if err != nil {
-		root.EndDetail(t.Now(), "aborted: "+err.Error())
-		return 0, err
-	}
-	var resp remoteResp
-	if derr := decode(raw, &resp); derr != nil {
-		root.EndDetail(t.Now(), "aborted: bad response")
-		return 0, derr
-	}
-	if resp.Status != 0 {
-		root.EndDetail(t.Now(), "aborted: "+resp.Err)
-		if resp.Err == errno.EPERM.Error() {
-			return 0, errno.EPERM
-		}
-		if resp.Err == errno.ESRCH.Error() {
-			return 0, errno.ESRCH
-		}
-		return 0, errno.EIO
-	}
-	root.EndDetail(t.Now(), "committed")
-	return resp.PID, nil
+	return policyTxn(t, from, src, MigdPort, txn, pid, "classic "+src+" -> "+dst, encode(req))
 }
 
 // StreamMigrateRemote is MigrateRemote over the streaming pre-copy path:
@@ -497,47 +465,38 @@ func MigrateRemote(t *sim.Task, from *netsim.Host, src string, pid int, dst stri
 // session dedup tables and, where the hosts' page stores are enabled, the
 // cross-session store refs. The controller's drains use this.
 func StreamMigrateRemote(t *sim.Task, from *netsim.Host, src string, pid int, dst string, wire core.WireMode) (int, error) {
-	return streamRemote(t, from, src, pid, dst, -1, wire, false)
+	txn := policyTxnID(t, pid)
+	req := &precopyReq{
+		UID: 0, GID: 0,
+		PID: pid, Dest: dst, Rounds: -1, Txn: txn,
+		Wire: byte(wire),
+	}
+	return policyTxn(t, from, src, MigdPrecopyPort, txn, pid, "streaming "+src+" -> "+dst, encode(req))
 }
 
-// PrewarmRemote streams rounds pre-copy rounds of pid's image from src to
-// dst and stops — no freeze, no restart, the victim never notices. The
-// shipped pages seed dst's page store so a later real migration (of this
-// process or any identical replica) elides them. rounds <= 0 pre-copies
-// adaptively. Fire-and-forget semantics: a failed prewarm costs nothing
-// but the bytes already sent.
-func PrewarmRemote(t *sim.Task, from *netsim.Host, src string, pid int, dst string, rounds int) error {
-	_, err := streamRemote(t, from, src, pid, dst, rounds, core.WireElideLZ, true)
-	return err
-}
-
-func streamRemote(t *sim.Task, from *netsim.Host, src string, pid int, dst string, rounds int, wire core.WireMode, prewarm bool) (int, error) {
+// policyTxnID derives a policy-layer transaction id from the clock and the
+// pid; never 0, which migd refuses.
+func policyTxnID(t *sim.Task, pid int) uint32 {
 	txn := uint32(uint64(t.Now())*2654435761 + uint64(pid)*40503)
 	if txn == 0 {
 		txn = 1
 	}
-	kind := "streaming "
-	if prewarm {
-		// A prewarm is not a migration transaction: nothing commits, so
-		// duplicate suppression has nothing to suppress. Txn 0 keeps it out
-		// of the transaction tables.
-		txn = 0
-		kind = "prewarm "
-	}
+	return txn
+}
+
+// policyTxn sends one encoded migration request to src's migd on port,
+// under a root span for txn, and maps the answer to the new pid or an
+// errno.
+func policyTxn(t *sim.Task, from *netsim.Host, src string, port int, txn uint32, pid int, detail string, req []byte) (int, error) {
 	var tr *obs.Tracer
 	if reg := from.Network().Obs(); reg != nil {
 		tr = reg.Tracer
 	}
 	root := tr.Root(txn, "migration", from.Name(), pid, t.Now())
 	if root != nil {
-		root.Detail = kind + src + " -> " + dst + " (policy)"
+		root.Detail = detail + " (policy)"
 	}
-	req := &precopyReq{
-		UID: 0, GID: 0,
-		PID: pid, Dest: dst, Rounds: rounds, Txn: txn,
-		Wire: byte(wire), Prewarm: prewarm,
-	}
-	raw, err := callRetry(t, from, src, MigdPrecopyPort, encode(req), txnCallAttempts)
+	raw, err := callRetry(t, from, src, port, req, txnCallAttempts)
 	if err != nil {
 		root.EndDetail(t.Now(), "aborted: "+err.Error())
 		return 0, err

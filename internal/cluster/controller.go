@@ -5,7 +5,6 @@ import (
 
 	"procmig/internal/apps"
 	"procmig/internal/controller"
-	"procmig/internal/core"
 	"procmig/internal/ha"
 	"procmig/internal/kernel"
 	"procmig/internal/sim"
@@ -66,22 +65,6 @@ func (a *ctlActuator) Migrate(t *sim.Task, src string, pid int, dst string) (int
 		return apps.MigrateRemote(t, a.c.hosts[a.host], src, pid, dst)
 	}
 	return apps.StreamMigrateRemote(t, a.c.hosts[a.host], src, pid, dst, a.c.migWire)
-}
-
-// Prewarm implements controller.Prewarmer: stream pid's pages from src
-// into dst's page store ahead of the real migration. Declined (warmed
-// false) when the cluster migrates raw (nothing would elide) or dst's
-// store is disabled (the pages would land nowhere) — baselines must not
-// pay prewarm bytes they can never win back.
-func (a *ctlActuator) Prewarm(t *sim.Task, src string, pid int, dst string) (bool, error) {
-	if a.c.migClassic || a.c.migWire == core.WireRaw {
-		return false, nil
-	}
-	m := a.c.machines[dst]
-	if m == nil || core.MachineStore(m) == nil {
-		return false, nil
-	}
-	return true, apps.PrewarmRemote(t, a.c.hosts[a.host], src, pid, dst, -1)
 }
 
 func (a *ctlActuator) Protect(t *sim.Task, host string, pid int, buddy string) error {

@@ -44,19 +44,3 @@ type Actuator interface {
 	// replicas from here instead of blindly respawning.
 	Recoveries(buddy string) []ha.Recovery
 }
-
-// Prewarmer is the optional drain-pipelining extension: an actuator that
-// also implements it lets the controller overlap a drain wave's settle
-// with the next wave's pre-copy. Prewarm streams pid's image pages from
-// src into dst's page store without freezing or moving anything — pure
-// cache warming, safe to fire and forget, and free to be wrong about dst
-// (the real migration re-places). Actuators without the cross-session
-// store simply don't implement it and drains behave as before.
-//
-// warmed reports whether a warmup stream actually ran: an implementation
-// that declines (raw wire mode, destination store disabled) returns
-// false, and the controller's controller.drain_prewarms counter skips
-// it — the metric counts cache warmups, not no-op calls.
-type Prewarmer interface {
-	Prewarm(t *sim.Task, src string, pid int, dst string) (warmed bool, err error)
-}

@@ -110,7 +110,7 @@ type Controller struct {
 	mRounds, mSpawn, mSpawnFail, mKill, mMove, mMoveFail   *obs.Counter
 	mRespawn, mAdopt, mLost, mReap, mProtect, mProtectFail *obs.Counter
 	mDrainWave, mDrainMove, mDrainFail, mDrainStuck        *obs.Counter
-	mDrainPrewarm, mReplaceWave, mReplaced                 *obs.Counter
+	mReplaceWave, mReplaced                                *obs.Counter
 	gApps, gDesired, gLive, gDeviation                     *obs.Gauge
 	scope                                                  *obs.Scope
 	mDrainFailBy                                           map[string]*obs.Counter
@@ -154,7 +154,6 @@ func New(host string, act Actuator, cfg Config, reg *obs.Registry) *Controller {
 	c.mDrainMove = s.Counter("controller.drain_moves")
 	c.mDrainFail = s.Counter("controller.drain_failed")
 	c.mDrainStuck = s.Counter("controller.drain_stuck")
-	c.mDrainPrewarm = s.Counter("controller.drain_prewarms")
 	c.scope = s
 	c.mDrainFailBy = map[string]*obs.Counter{}
 	c.mReplaceWave = s.Counter("controller.replace_waves")

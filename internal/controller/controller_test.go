@@ -31,9 +31,6 @@ type fakeAct struct {
 	migrateErr    error           // what failMigrate failures return (nil → a generic error)
 	loseNextReply bool            // next migration commits but reports pid 0
 
-	prewarm      func(src string, pid int, dst string) (bool, error) // nil → decline
-	prewarmCalls int
-
 	asked []string // every census query, in order
 
 	spawns, kills, migrations int
@@ -148,17 +145,6 @@ func (f *fakeAct) Protect(t *sim.Task, host string, pid int, buddy string) error
 }
 
 func (f *fakeAct) Recoveries(buddy string) []ha.Recovery { return f.recoveries[buddy] }
-
-// Prewarm implements controller.Prewarmer. The default fake declines every
-// warmup (like a raw-wire cluster); tests that want the pipelined path
-// install a hook.
-func (f *fakeAct) Prewarm(t *sim.Task, src string, pid int, dst string) (bool, error) {
-	f.prewarmCalls++
-	if f.prewarm == nil {
-		return false, nil
-	}
-	return f.prewarm(src, pid, dst)
-}
 
 // crash kills a host and everything on it.
 func (f *fakeAct) crash(host string) {

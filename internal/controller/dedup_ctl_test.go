@@ -61,56 +61,3 @@ func TestDrainFailureReasonCounters(t *testing.T) {
 		t.Fatalf("drain never recovered: %+v", ds)
 	}
 }
-
-// TestDrainPrewarmCountsWarmups: with more evacuees than one wave, the
-// controller overlaps each wave with the next wave's pre-copy, and
-// controller.drain_prewarms counts exactly the warmups the actuator
-// actually streamed.
-func TestDrainPrewarmCountsWarmups(t *testing.T) {
-	h := newHarness(t, controller.Config{DrainWave: 1}, "a", "b")
-	h.f.prewarm = func(src string, pid int, dst string) (bool, error) { return true, nil }
-	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 6}); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 4)
-	if h.f.countOn("/bin/web")["b"] < 2 {
-		t.Fatalf("precondition: need >=2 replicas on b, have %v", h.f.countOn("/bin/web"))
-	}
-	if err := h.c.Drain("b"); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 8)
-	if ds, _ := h.c.DrainStatus("b"); !ds.Done {
-		t.Fatalf("drain did not finish: %+v", ds)
-	}
-	if h.f.prewarmCalls == 0 {
-		t.Fatal("multi-wave drain never attempted a prewarm")
-	}
-	if got := metric(h, "controller.drain_prewarms"); got != int64(h.f.prewarmCalls) {
-		t.Fatalf("drain_prewarms=%d, actuator streamed %d", got, h.f.prewarmCalls)
-	}
-}
-
-// TestDrainPrewarmDeclinedNotCounted: an actuator that declines the warmup
-// (raw wire, no destination store) is consulted but never counted — the
-// A14 baselines must report zero prewarms.
-func TestDrainPrewarmDeclinedNotCounted(t *testing.T) {
-	h := newHarness(t, controller.Config{DrainWave: 1}, "a", "b")
-	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 6}); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 4)
-	if err := h.c.Drain("b"); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 8)
-	if ds, _ := h.c.DrainStatus("b"); !ds.Done {
-		t.Fatalf("drain did not finish: %+v", ds)
-	}
-	if h.f.prewarmCalls == 0 {
-		t.Fatal("declining actuator was never even consulted")
-	}
-	if got := metric(h, "controller.drain_prewarms"); got != 0 {
-		t.Fatalf("declined warmups were counted: drain_prewarms=%d", got)
-	}
-}

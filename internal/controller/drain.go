@@ -39,31 +39,10 @@ func (d *drain) status() DrainStatus {
 	return st
 }
 
-// drainFailReason buckets a failed drain move into a stable metric label —
-// the same buckets the Balancer's balancer.failed.<reason> uses (the two
-// packages cannot share the function without an import cycle through the
-// policy layer).
-func drainFailReason(err error) string {
-	switch errno.Of(err) {
-	case errno.ETIMEDOUT:
-		return "timeout"
-	case errno.EHOSTDOWN:
-		return "host_down"
-	case errno.ECONNREFUSED:
-		return "refused"
-	case errno.EPERM:
-		return "denied"
-	case errno.ESRCH:
-		return "no_such_process"
-	default:
-		return "other"
-	}
-}
-
 // drainFailCounter resolves (and caches) the per-reason failure counter.
 // Engine tasks run one at a time, so the map needs no lock.
 func (c *Controller) drainFailCounter(err error) *obs.Counter {
-	reason := drainFailReason(err)
+	reason := errno.FailLabel(err)
 	ctr := c.mDrainFailBy[reason]
 	if ctr == nil {
 		ctr = c.scope.Counter("controller.drain_failed." + reason)
@@ -151,14 +130,12 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 			continue
 		}
 		// Collect the evacuees: bound replicas on the host, oldest slots
-		// first for determinism. Beyond this wave's worth, collect the
-		// next wave's worth too: if the actuator can prewarm, their pages
-		// stream toward tentative destinations while this wave settles.
+		// first for determinism.
 		type evac struct {
 			a *app
 			r *replica
 		}
-		var wave, next []evac
+		var wave []evac
 		remain := 0
 		for _, name := range c.appOrder {
 			a := c.apps[name]
@@ -169,8 +146,6 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 				remain++
 				if len(wave) < c.cfg.DrainWave {
 					wave = append(wave, evac{a, r})
-				} else if len(next) < c.cfg.DrainWave {
-					next = append(next, evac{a, r})
 				}
 			}
 		}
@@ -255,41 +230,12 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 				d.moved++
 			})
 		}
-		// Pipelined pre-copy: while this wave settles, stream the next
-		// wave's pages toward tentative destinations so their real
-		// migrations mostly ship refs. Placement here is a guess (nothing
-		// binds — the wave re-places when it actually runs), which is fine:
-		// identical replicas share content, so warming any store the next
-		// wave plausibly lands near still pays. The settle barrier below
-		// covers these tasks too, so freeze/commit always waits for them.
-		prewarmed := 0
-		if pw, ok := c.act.(Prewarmer); ok {
-			for _, ev := range next {
-				dst := c.place(ev.a, view, host)
-				if dst == "" {
-					continue
-				}
-				src, pid := ev.r.host, ev.r.pid
-				pending++
-				prewarmed++
-				c.eng.Go(fmt.Sprintf("prewarm:%s:%d", src, pid), func(wt *sim.Task) {
-					defer func() { pending-- }()
-					// Best effort; a failure just skips the warmup. Only a
-					// warmup that actually streamed counts — an actuator
-					// declining (raw mode, no destination store) is not a
-					// prewarm, and baselines must report zero.
-					if warmed, _ := pw.Prewarm(wt, src, pid, dst); warmed {
-						c.mDrainPrewarm.Inc()
-					}
-				})
-			}
-		}
 		// Settle barrier: the round does not proceed (and the next wave
 		// cannot start) until every migration in this wave has finished.
 		for pending > 0 {
 			t.Sleep(c.cfg.Period / 4)
 		}
-		waveSpan.EndDetail(t.Now(), fmt.Sprintf("launched=%d prewarmed=%d", len(moves), prewarmed))
+		waveSpan.EndDetail(t.Now(), fmt.Sprintf("launched=%d", len(moves)))
 	}
 }
 

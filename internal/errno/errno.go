@@ -116,3 +116,23 @@ func Of(err error) Errno {
 	}
 	return EIO
 }
+
+// FailLabel buckets a failed remote operation into a stable metric label,
+// so dashboards can tell failure modes apart: "timeout", "host_down",
+// "refused", "denied", "no_such_process", or "other" for anything else.
+func FailLabel(err error) string {
+	switch Of(err) {
+	case ETIMEDOUT:
+		return "timeout"
+	case EHOSTDOWN:
+		return "host_down"
+	case ECONNREFUSED:
+		return "refused"
+	case EPERM:
+		return "denied"
+	case ESRCH:
+		return "no_such_process"
+	default:
+		return "other"
+	}
+}

@@ -39,3 +39,24 @@ func TestAllNamedErrnosHaveStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestFailLabel(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{ETIMEDOUT, "timeout"},
+		{EHOSTDOWN, "host_down"},
+		{ECONNREFUSED, "refused"},
+		{EPERM, "denied"},
+		{ESRCH, "no_such_process"},
+		{EIO, "other"},
+		{EINVAL, "other"},
+		{errors.New("opaque"), "other"},
+		{nil, "other"},
+	} {
+		if got := FailLabel(tc.err); got != tc.want {
+			t.Errorf("FailLabel(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}

@@ -25,8 +25,7 @@ import (
 //	         hash dedup, the baseline the store must beat
 //	store    elide+LZ plus the host-wide page store: the first replica
 //	         to land warms the destination, every later one ships
-//	         13-byte refs, and drain waves overlap the next wave's
-//	         pre-copy through the controller's Prewarmer hook
+//	         13-byte refs
 //
 // Because every replica's image is incompressible by construction (an
 // LCG fill — no zero pages, nothing for LZ), the session baseline must
@@ -92,8 +91,8 @@ func imagesLoaded(c *cluster.Cluster, path string) bool {
 }
 
 // a14DrainWave keeps waves much smaller than the packed host's
-// population: only the first wave (and its overlapped prewarm) can ship
-// full pages in store mode, so the byte ratio grows with Replicas.
+// population: only the first wave can ship full pages in store mode, so
+// the byte ratio grows with Replicas.
 const a14DrainWave = 2
 
 // A14Config sizes the scenario. The zero value is the CI default:
@@ -106,7 +105,7 @@ type A14Config struct {
 	Seed     uint64
 	// MinBytesRatio is the acceptance gate: session-mode drain bytes
 	// must be at least this multiple of store-mode drain bytes. The
-	// ratio scales with Replicas/(2×DrainWave), so reduced test
+	// ratio scales with Replicas/DrainWave, so reduced test
 	// configs must pass a reduced gate.
 	MinBytesRatio float64
 }
@@ -142,13 +141,12 @@ type A14Mode struct {
 	PackHost string  `json:"pack_host"`
 
 	// Mass drain of the packed host: every replica to one destination.
-	DrainHost     string  `json:"drain_host"`
-	DestHost      string  `json:"dest_host"`
-	DrainS        float64 `json:"drain_s"`
-	DrainWaves    int     `json:"drain_waves"`
-	DrainMoves    int     `json:"drain_moves"`
-	DrainBytes    int64   `json:"drain_bytes"`
-	DrainPrewarms int64   `json:"drain_prewarms"`
+	DrainHost  string  `json:"drain_host"`
+	DestHost   string  `json:"dest_host"`
+	DrainS     float64 `json:"drain_s"`
+	DrainWaves int     `json:"drain_waves"`
+	DrainMoves int     `json:"drain_moves"`
+	DrainBytes int64   `json:"drain_bytes"`
 
 	// Page-store efficacy over the whole run (zero outside store mode).
 	SpecPages  int64 `json:"spec_pages"`
@@ -410,7 +408,7 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 
 	// Phase 2: mass drain of the packed host. Bin-packing sends every
 	// evacuee to the same destination, so in store mode only the first
-	// wave (and its overlapped prewarm) can ship full pages.
+	// wave can ship full pages.
 	b0 := sum("stream.wire_bytes")
 	prot0 := ctr("controller.protects")
 	if err := c.DrainHost(run.PackHost); err != nil {
@@ -433,7 +431,6 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	run.DrainWaves = st.Waves
 	run.DrainMoves = st.Moved
 	run.DrainBytes = sum("stream.wire_bytes") - b0
-	run.DrainPrewarms = ctr("controller.drain_prewarms")
 	if st.Failed != 0 {
 		return nil, 0, 0, fmt.Errorf("drain of %s had %d failed moves", run.PackHost, st.Failed)
 	}

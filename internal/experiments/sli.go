@@ -25,8 +25,8 @@ import (
 //	         image to the file server, restart on the destination
 //	precopy  PR 5's streaming engine: pre-copy rounds while running,
 //	         freeze only for the final delta
-//	store    precopy plus the host-wide page store and the controller's
-//	         prewarm hook — the final delta rides mostly 13-byte refs
+//	store    precopy plus the host-wide page store — the final delta
+//	         rides mostly 13-byte refs
 //
 // Every SLO-breaching request is then blamed on the migration phase
 // whose span it overlapped (internal/load.Attribute), so the p99 gap

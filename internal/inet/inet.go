@@ -38,6 +38,13 @@ func encode(v any) []byte {
 	return b.Bytes()
 }
 
+// Fix the gob type ids of the datagram messages at init, so a message's
+// size does not depend on what the process encoded before.
+func init() {
+	encode(&packet{})
+	encode(&reply{})
+}
+
 // Stack is one machine's datagram port space.
 type Stack struct {
 	host  *netsim.Host

@@ -62,6 +62,13 @@ func decode(raw []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
 }
 
+// Fix the gob type ids of the NFS messages at init, so a message's size
+// does not depend on what the process encoded before.
+func init() {
+	encode(&request{})
+	encode(&response{})
+}
+
 // ServerCosts models server-side work per operation.
 type ServerCosts struct {
 	OpCPU       sim.Duration // request decode + fs work

@@ -233,8 +233,8 @@ func (s *session) controller(tk *sim.Task, cmd []string) error {
 		}
 		fmt.Printf("[%v] controller: round %d, %s\n", ts(tk), st.Round, conv)
 		for _, a := range st.Apps {
-			fmt.Printf("  app %-12s desired %d, live %d, pending %d (gen %d)\n",
-				a.Name, a.Desired, a.Live, a.Pending, a.Gen)
+			fmt.Printf("  app %-12s desired %d, live %d, pending %d\n",
+				a.Name, a.Desired, a.Live, a.Pending)
 			for _, r := range a.Replicas {
 				fmt.Printf("    slot %d: %s pid %d %s\n", r.Slot, r.Host, r.PID, r.State)
 			}

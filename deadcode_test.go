@@ -80,6 +80,37 @@ func TestDeadExportedGuardCatchesUnusedFunc(t *testing.T) {
 	}
 }
 
+// TestNoDeadExportedMethod fails on exported methods under internal/
+// whose name is never selected (x.Name) and never named in an interface
+// anywhere in the tree, tests and nested modules included: nothing can
+// call such a method, directly or through an interface.
+func TestNoDeadExportedMethod(t *testing.T) {
+	dead, err := deadMethods(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dead {
+		t.Errorf("unused: %s", d)
+	}
+}
+
+// TestDeadMethodGuardCatchesUnusedMethod runs the method guard over the
+// fixture: of its internal package's three exported methods, only the
+// one nothing selects and no interface names is flagged.
+func TestDeadMethodGuardCatchesUnusedMethod(t *testing.T) {
+	dead, err := deadMethods(filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range dead {
+		names = append(names, d[strings.LastIndex(d, " ")+1:])
+	}
+	if want := []string{"T.Method"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("flagged %q, want %q", dead, want)
+	}
+}
+
 // deadCode reports, sorted, "file:line name" for every unexported
 // package-level declaration under root that no other declaration of its
 // package uses. It is name-based with the parser's scope resolution:
@@ -327,4 +358,83 @@ func testingFunc(name string) bool {
 		}
 	}
 	return false
+}
+
+// deadMethods reports, sorted, "file:line Recv.Name" for every exported
+// method declared in a package under root/internal whose name no file
+// under root selects or names as an interface method. It is name-based:
+// any x.Name anywhere keeps every method called Name alive.
+func deadMethods(root string) ([]string, error) {
+	type method struct {
+		name string // Recv.Name
+		pos  token.Position
+	}
+	var methods []method
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && ast.IsExported(fd.Name.Name) && internalPkg(rel) {
+				methods = append(methods, method{recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name, fset.Position(fd.Name.Pos())})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				used[n.Sel.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						used[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	var dead []string
+	for _, m := range methods {
+		if !used[m.name[strings.LastIndex(m.name, ".")+1:]] {
+			dead = append(dead, fmt.Sprintf("%s:%d %s", filepath.ToSlash(m.pos.Filename), m.pos.Line, m.name))
+		}
+	}
+	sort.Strings(dead)
+	return dead, err
+}
+
+// recvName is the type name of a method receiver, without pointer or
+// type parameters.
+func recvName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return "?"
 }

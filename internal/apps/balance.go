@@ -96,12 +96,6 @@ type Balancer struct {
 	// (anti-thrash hysteresis on top of MinAge — a restarted process has
 	// a fresh start time, but the view's loads lag). Defaults to 2×Period.
 	Cooldown sim.Duration
-	// Skip vetoes candidates: a process for which it reports true is
-	// never migrated by the balancer. Wired to the cluster controller's
-	// Owns so the load balancer defers to controller-owned replicas —
-	// two policy daemons moving the same process would thrash. nil skips
-	// nothing.
-	Skip func(host string, pid int) bool
 
 	Events []MigrationEvent // committed moves
 	Failed []MigrationEvent // attempts that failed, with the reason
@@ -133,9 +127,6 @@ func (b *Balancer) candidate(m *ha.Member, procs []ha.ProcStat, now sim.Time) *h
 	for i := range procs {
 		ps := &procs[i]
 		if ps.Age < b.MinAge {
-			continue
-		}
-		if b.Skip != nil && b.Skip(m.Host, ps.PID) {
 			continue
 		}
 		if at, ok := b.recent[cooldownKey(m.Host, ps.PID)]; ok &&

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"sort"
 
 	"procmig/internal/ha"
@@ -29,16 +28,11 @@ type Config struct {
 	RecoveryGrace sim.Duration
 	// MaxActionsPerRound caps spawns+kills+constraint-moves per round
 	// (default 4), so convergence is rate-limited and a huge deficit
-	// cannot stampede the network. Drains and replace waves have their
-	// own caps.
+	// cannot stampede the network. Drains have their own cap.
 	MaxActionsPerRound int
 	// DrainWave is the drain concurrency cap: at most this many
-	// migrations in flight per draining host per round (default 4).
+	// migrations in flight per draining host (default 4).
 	DrainWave int
-	// ReplaceWave is how many replicas a rolling replace restarts per
-	// wave (default 2), with a settle barrier (no pending replicas)
-	// between waves.
-	ReplaceWave int
 }
 
 func (cfg Config) withDefaults() Config {
@@ -60,9 +54,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.DrainWave <= 0 {
 		cfg.DrainWave = 4
 	}
-	if cfg.ReplaceWave <= 0 {
-		cfg.ReplaceWave = 2
-	}
 	return cfg
 }
 
@@ -82,9 +73,6 @@ type Controller struct {
 	apps     map[string]*app
 	appOrder []string
 
-	owned        map[string]bool // "host/pid" → controller-owned
-	ownedPerHost map[string]int
-
 	drains     map[string]*drain
 	drainOrder []string
 	cordoned   map[string]bool
@@ -92,8 +80,7 @@ type Controller struct {
 	orphans []orphan
 	watched []watchedProt
 
-	round      int64
-	convergeAt sim.Time // first instant the current desired state was met (0: not yet)
+	round int64
 
 	// Round-local scratch, reused to keep the loop allocation-light.
 	view         []ha.Member
@@ -102,6 +89,7 @@ type Controller struct {
 	repScratch   []*replica
 	candScratch  []cand
 	countScratch map[string]int
+	ownedScratch map[string]int
 	overScratch  map[string]int
 
 	// Metrics (resolved once in New). mDrainFailBy caches the per-reason
@@ -110,7 +98,6 @@ type Controller struct {
 	mRounds, mSpawn, mSpawnFail, mKill, mMove, mMoveFail   *obs.Counter
 	mRespawn, mAdopt, mLost, mReap, mProtect, mProtectFail *obs.Counter
 	mDrainWave, mDrainMove, mDrainFail, mDrainStuck        *obs.Counter
-	mReplaceWave, mReplaced                                *obs.Counter
 	gApps, gDesired, gLive, gDeviation                     *obs.Gauge
 	scope                                                  *obs.Scope
 	mDrainFailBy                                           map[string]*obs.Counter
@@ -124,13 +111,12 @@ func New(host string, act Actuator, cfg Config, reg *obs.Registry) *Controller {
 		cfg:          cfg.withDefaults(),
 		act:          act,
 		apps:         map[string]*app{},
-		owned:        map[string]bool{},
-		ownedPerHost: map[string]int{},
 		drains:       map[string]*drain{},
 		cordoned:     map[string]bool{},
 		byHost:       map[string]*ha.Member{},
 		censuses:     map[string]census{},
 		countScratch: map[string]int{},
+		ownedScratch: map[string]int{},
 		overScratch:  map[string]int{},
 	}
 	if reg == nil {
@@ -156,8 +142,6 @@ func New(host string, act Actuator, cfg Config, reg *obs.Registry) *Controller {
 	c.mDrainStuck = s.Counter("controller.drain_stuck")
 	c.scope = s
 	c.mDrainFailBy = map[string]*obs.Counter{}
-	c.mReplaceWave = s.Counter("controller.replace_waves")
-	c.mReplaced = s.Counter("controller.replaced")
 	c.gApps = s.Gauge("controller.apps")
 	c.gDesired = s.Gauge("controller.replicas_desired")
 	c.gLive = s.Gauge("controller.replicas_live")
@@ -184,33 +168,6 @@ func (c *Controller) Submit(spec AppSpec) error {
 	} else {
 		a.spec = spec
 	}
-	c.convergeAt = 0
-	return nil
-}
-
-// Remove deletes an app: its replicas are killed by the next rounds
-// (desired count drops to zero, then the empty app is forgotten).
-func (c *Controller) Remove(name string) error {
-	a, ok := c.apps[name]
-	if !ok {
-		return fmt.Errorf("controller: no app %q", name)
-	}
-	a.spec.Replicas = 0
-	a.removed = true
-	c.convergeAt = 0
-	return nil
-}
-
-// Replace starts a rolling restart: every current replica is replaced by
-// a fresh one, ReplaceWave at a time, with a settle barrier between
-// waves.
-func (c *Controller) Replace(name string) error {
-	a, ok := c.apps[name]
-	if !ok {
-		return fmt.Errorf("controller: no app %q", name)
-	}
-	a.gen++
-	c.convergeAt = 0
 	return nil
 }
 
@@ -224,20 +181,15 @@ func (c *Controller) App(name string) (AppStatus, bool) {
 }
 
 func (c *Controller) appStatus(a *app) AppStatus {
-	st := AppStatus{Name: a.spec.Name, Desired: a.spec.Replicas, Gen: a.gen}
+	st := AppStatus{Name: a.spec.Name, Desired: a.spec.Replicas}
 	for _, r := range a.replicas {
-		switch r.state {
-		case repLive:
-			if r.gen == a.gen {
-				st.Live++
-			} else {
-				st.Pending++ // stale generation: a replace is still owed
-			}
-		default:
+		if r.state == repLive {
+			st.Live++
+		} else {
 			st.Pending++
 		}
 		st.Replicas = append(st.Replicas, ReplicaStatus{
-			Slot: r.slot, Host: r.host, PID: r.pid, State: r.state.String(), Gen: r.gen,
+			Slot: r.slot, Host: r.host, PID: r.pid, State: r.state.String(),
 		})
 	}
 	sort.Slice(st.Replicas, func(i, j int) bool { return st.Replicas[i].Slot < st.Replicas[j].Slot })
@@ -257,17 +209,10 @@ func (c *Controller) Status() Status {
 }
 
 // Converged reports whether every app is at desired state (right count,
-// right generation, nothing pending) and every drain has finished.
+// nothing pending or moving) and every drain has finished.
 func (c *Controller) Converged() bool {
 	st := c.Status()
 	return st.Converged()
-}
-
-// ConvergedSince reports the first instant the current desired state was
-// fully met (0, false while deviated). Drain makespans and convergence
-// times in experiments read this instead of polling Status.
-func (c *Controller) ConvergedSince() (sim.Time, bool) {
-	return c.convergeAt, c.convergeAt != 0
 }
 
 // Start spawns the reconcile loop on eng. Stop ends it at the next tick.
@@ -289,7 +234,8 @@ func (c *Controller) Stop() { c.stopped = true }
 
 // Round runs one reconcile round: snapshot the view, ask the replicas'
 // hosts for their censuses, re-judge every replica against the answers,
-// heal drains, then diff each app and act. Exposed so tests and
+// advance drains, then diff each app and act. Migrations run as their
+// own tasks, so the round never parks on one. Exposed so tests and
 // experiments can single-step the controller.
 func (c *Controller) Round(t *sim.Task) {
 	now := t.Now()
@@ -308,37 +254,22 @@ func (c *Controller) Round(t *sim.Task) {
 	c.askCensuses(t)
 	c.judge(now)
 	c.reap(t, now)
-	c.drainStep(t, view, now)
+	c.drainStep(view, now)
 
 	budget := c.cfg.MaxActionsPerRound
 	for _, name := range c.appOrder {
 		budget = c.reconcileApp(t, c.apps[name], view, now, budget)
 	}
-	c.sweepRemoved()
-	c.updateGauges(now)
+	c.updateGauges()
 }
 
-// sweepRemoved forgets apps that were removed and have no replicas left.
-func (c *Controller) sweepRemoved() {
-	kept := c.appOrder[:0]
-	for _, name := range c.appOrder {
-		a := c.apps[name]
-		if a.removed && len(a.replicas) == 0 {
-			delete(c.apps, name)
-			continue
-		}
-		kept = append(kept, name)
-	}
-	c.appOrder = kept
-}
-
-func (c *Controller) updateGauges(now sim.Time) {
+func (c *Controller) updateGauges() {
 	desired, live := 0, 0
 	for _, name := range c.appOrder {
 		a := c.apps[name]
 		desired += a.spec.Replicas
 		for _, r := range a.replicas {
-			if r.state == repLive && r.gen == a.gen {
+			if r.state == repLive {
 				live++
 			}
 		}
@@ -351,39 +282,34 @@ func (c *Controller) updateGauges(now sim.Time) {
 		dev = -dev
 	}
 	c.gDeviation.Set(int64(dev))
-	if c.Converged() {
-		if c.convergeAt == 0 {
-			c.convergeAt = now
-		}
-	} else {
-		c.convergeAt = 0
-	}
 }
 
 // reconcileApp diffs one app against its spec and spends up to budget
 // actions closing the gap. Order matters: kill surplus first (frees
-// capacity and per-host cap slots), then replace-wave stale generations,
-// then spawn deficits, then move constraint violators, then (free, not
-// budgeted) refresh guardian protection.
+// capacity and per-host cap slots), then spawn deficits, then move
+// constraint violators, then (free, not budgeted) refresh guardian
+// protection. A moving replica belongs to its move until the move
+// completes: no step here touches it.
 func (c *Controller) reconcileApp(t *sim.Task, a *app, view []ha.Member, now sim.Time, budget int) int {
 	// Surplus: desired shrank (or an adoption raced a respawn). Kill the
 	// newest replicas first — the oldest have the most accumulated work.
 	for len(a.replicas) > a.spec.Replicas && budget > 0 {
-		victim := a.replicas[0]
-		for _, r := range a.replicas[1:] {
-			if r.since > victim.since || (r.since == victim.since && hp(r.host, r.pid) > hp(victim.host, victim.pid)) {
+		var victim *replica
+		for _, r := range a.replicas {
+			if r.state != repMoving && (victim == nil || newer(r, victim)) {
 				victim = r
 			}
+		}
+		if victim == nil {
+			break // every replica is moving; the surplus waits for them
 		}
 		if err := c.act.Kill(t, victim.host, victim.pid); err != nil && c.hostAlive(victim.host) {
 			break // kill on a live host failed; retry next round
 		}
-		c.drop(a, victim)
+		drop(a, victim)
 		c.mKill.Inc()
 		budget--
 	}
-
-	budget = c.replaceStep(t, a, view, now, budget)
 
 	// Deficit: spawn missing replicas.
 	for len(a.replicas) < a.spec.Replicas && budget > 0 {
@@ -397,12 +323,11 @@ func (c *Controller) reconcileApp(t *sim.Task, a *app, view []ha.Member, now sim
 			break
 		}
 		r := &replica{
-			slot: a.nextSlot, gen: a.gen, host: host, pid: pid,
+			slot: a.nextSlot, host: host, pid: pid,
 			state: repPending, since: now,
 		}
 		a.nextSlot++
 		a.replicas = append(a.replicas, r)
-		c.own(host, pid)
 		if a.respawnDebt > 0 {
 			a.respawnDebt--
 			c.mRespawn.Inc()
@@ -434,7 +359,7 @@ func (c *Controller) reconcileApp(t *sim.Task, a *app, view []ha.Member, now sim
 		if over[r.host] > 0 {
 			over[r.host]--
 		}
-		c.moveReplica(t, a, r, dst, now)
+		c.launch(r, dst, nil, now)
 		budget--
 	}
 
@@ -448,36 +373,6 @@ func (c *Controller) reconcileApp(t *sim.Task, a *app, view []ha.Member, now sim
 func (c *Controller) hostAlive(host string) bool {
 	m, ok := c.byHost[host]
 	return ok && m.Alive
-}
-
-// moveReplica migrates one replica synchronously (the round's task parks
-// for the transfer) and rebinds the slot to the committed copy.
-func (c *Controller) moveReplica(t *sim.Task, a *app, r *replica, dst string, now sim.Time) bool {
-	r.state = repMoving
-	r.since = now
-	newPid, err := c.act.Migrate(t, r.host, r.pid, dst)
-	if err != nil {
-		c.mMoveFail.Inc()
-		r.state = repLive // still where it was; retried next round
-		return false
-	}
-	if newPid == 0 {
-		// Committed, but a duplicate-suppressed retry lost the new pid.
-		// The copy runs on dst under a pid dst's census will reveal.
-		c.disown(r.host, r.pid)
-		r.host = dst
-		r.state = repPending
-		r.since = t.Now()
-		r.stale = true
-		r.protHost, r.protPID, r.protBuddy = "", 0, ""
-		c.own(dst, r.pid) // chain key: dst's census reports OldPID == r.pid
-		c.mMove.Inc()
-		return true
-	}
-	c.rebind(r, dst, newPid, repPending, t.Now())
-	r.protHost, r.protPID, r.protBuddy = "", 0, ""
-	c.mMove.Inc()
-	return true
 }
 
 // protectStep registers guardian protection for live replicas whose

@@ -33,6 +33,10 @@ type fakeAct struct {
 
 	asked []string // every census query, in order
 
+	moving       map[int]bool // pids with a migration in flight
+	killedMoving int          // kills aimed at a pid mid-migration
+	migLog       []fakeMig    // every finished migration call, in finish order
+
 	spawns, kills, migrations int
 }
 
@@ -46,6 +50,10 @@ type fakeProt struct {
 	pid         int
 }
 
+type fakeMig struct {
+	start, end sim.Time
+}
+
 func newFake(hosts ...string) *fakeAct {
 	f := &fakeAct{
 		hosts: hosts, alive: map[string]bool{},
@@ -53,6 +61,7 @@ func newFake(hosts ...string) *fakeAct {
 		recoveries:  map[string][]ha.Recovery{},
 		nextPid:     100,
 		failMigrate: map[string]bool{},
+		moving:      map[int]bool{},
 	}
 	for _, h := range hosts {
 		f.alive[h] = true
@@ -100,6 +109,9 @@ func (f *fakeAct) Spawn(t *sim.Task, host, path string) (int, error) {
 }
 
 func (f *fakeAct) Kill(t *sim.Task, host string, pid int) error {
+	if f.moving[pid] {
+		f.killedMoving++
+	}
 	if !f.alive[host] {
 		return fmt.Errorf("fake: %s is down", host)
 	}
@@ -112,6 +124,12 @@ func (f *fakeAct) Kill(t *sim.Task, host string, pid int) error {
 }
 
 func (f *fakeAct) Migrate(t *sim.Task, src string, pid int, dst string) (int, error) {
+	start := t.Now()
+	f.moving[pid] = true
+	defer func() {
+		delete(f.moving, pid)
+		f.migLog = append(f.migLog, fakeMig{start, t.Now()})
+	}()
 	if f.migrateDelay > 0 {
 		t.Sleep(f.migrateDelay)
 	}
@@ -333,64 +351,200 @@ func TestProtectedReplicaAdoptedFromGuardianLedger(t *testing.T) {
 	if h.f.spawns != spawnsBefore {
 		t.Fatalf("controller respawned instead of adopting the recovery")
 	}
-	if !h.c.Owns(pr.buddy, newPid) {
-		t.Fatalf("adopted copy not owned")
+	st, _ := h.c.App("pay")
+	bound := false
+	for _, r := range st.Replicas {
+		bound = bound || (r.Host == pr.buddy && r.PID == newPid)
+	}
+	if !bound {
+		t.Fatalf("adopted copy %s/%d not bound: %+v", pr.buddy, newPid, st.Replicas)
 	}
 }
 
+// TestDrainEmptiesHostInWaves runs a drain with instant moves and with
+// moves that outlast a reconcile period. Either way the host empties in
+// rate-limited waves; with slow moves the rounds keep running while a
+// wave is in flight, and each wave launches only after every move of the
+// one before has finished, at the first round after.
 func TestDrainEmptiesHostInWaves(t *testing.T) {
+	for _, slow := range []bool{false, true} {
+		t.Run(fmt.Sprintf("slow=%v", slow), func(t *testing.T) {
+			h := newHarness(t, controller.Config{DrainWave: 2}, "a", "b", "c")
+			period := h.c.Config().Period
+			if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 9}); err != nil {
+				t.Fatal(err)
+			}
+			h.rounds(t, 4)
+			onC := h.f.countOn("/bin/web")["c"]
+			if onC <= 2 {
+				t.Fatalf("precondition: want more than one wave on c (%v)", h.f.countOn("/bin/web"))
+			}
+			if slow {
+				h.f.migrateDelay = period * 3 / 2
+			}
+			if err := h.c.Drain("c"); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.c.Drain("c"); err == nil {
+				t.Fatalf("double drain not rejected")
+			}
+			rounds0 := metric(h, "controller.rounds")
+			h.rounds(t, 8)
+			if got := metric(h, "controller.rounds") - rounds0; got != 8 {
+				t.Fatalf("%d rounds ran in 8 periods: a round parked on a move", got)
+			}
+			ds, ok := h.c.DrainStatus("c")
+			if !ok || !ds.Done {
+				t.Fatalf("drain not done: %+v", ds)
+			}
+			if got := h.f.countOn("/bin/web")["c"]; got != 0 {
+				t.Fatalf("drained host still has %d replicas", got)
+			}
+			if h.f.total("/bin/web") != 9 {
+				t.Fatalf("lost replicas during drain: %v", h.f.countOn("/bin/web"))
+			}
+			if ds.Moved != onC || ds.Failed != 0 {
+				t.Fatalf("drain accounting: moved=%d want %d failed=%d", ds.Moved, onC, ds.Failed)
+			}
+			// Waves were rate-limited: at DrainWave=2, onC replicas take
+			// exactly ceil(onC/2) waves.
+			if want := (onC + 1) / 2; ds.Waves != want {
+				t.Fatalf("drain took %d waves, want %d", ds.Waves, want)
+			}
+			if ds.Makespan <= 0 {
+				t.Fatalf("makespan not recorded: %+v", ds)
+			}
+			// Group the moves by launch instant, one group per wave.
+			var starts []sim.Time
+			lastEnd := map[sim.Time]sim.Time{}
+			for _, m := range h.f.migLog {
+				if _, ok := lastEnd[m.start]; !ok {
+					starts = append(starts, m.start)
+				}
+				lastEnd[m.start] = max(lastEnd[m.start], m.end)
+			}
+			sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+			if len(starts) != ds.Waves {
+				t.Fatalf("moves launched at %d instants, want one per wave (%d): %+v", len(starts), ds.Waves, h.f.migLog)
+			}
+			for i := 1; i < len(starts); i++ {
+				settled := lastEnd[starts[i-1]]
+				if starts[i] < settled {
+					t.Fatalf("wave %d launched at %v, before wave %d settled at %v", i+1, starts[i], i, settled)
+				}
+				if sim.Duration(starts[i]-settled) > period {
+					t.Fatalf("wave %d launched %v after wave %d settled, want the first round after", i+1,
+						sim.Duration(starts[i]-settled), i)
+				}
+			}
+			h.f.migrateDelay = 0
+			// The cordon outlives the drain: new work avoids c until Uncordon.
+			if err := h.c.Submit(controller.AppSpec{Name: "api", Path: "/bin/api", Replicas: 4}); err != nil {
+				t.Fatal(err)
+			}
+			h.rounds(t, 3)
+			if n := h.f.countOn("/bin/api")["c"]; n != 0 {
+				t.Fatalf("cordoned host got %d new replicas", n)
+			}
+			h.c.Uncordon("c")
+			if err := h.c.Submit(controller.AppSpec{Name: "api", Path: "/bin/api", Replicas: 8}); err != nil {
+				t.Fatal(err)
+			}
+			h.rounds(t, 4)
+			if n := h.f.countOn("/bin/api")["c"]; n == 0 {
+				t.Fatalf("uncordoned host never reused: %v", h.f.countOn("/bin/api"))
+			}
+		})
+	}
+}
+
+// TestConstraintMoveDoesNotParkRound: a constraint move that takes
+// several periods is in flight while the rounds keep running and another
+// app's deficit is spawned; the move lands afterwards.
+func TestConstraintMoveDoesNotParkRound(t *testing.T) {
+	for _, periods := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("delay=%dperiods", periods), func(t *testing.T) {
+			h := newHarness(t, controller.Config{}, "a", "b", "c")
+			spec := controller.AppSpec{Name: "db", Path: "/bin/db", Replicas: 1, Avoid: []string{"a", "b"}}
+			if err := h.c.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			h.rounds(t, 2)
+			if h.f.countOn("/bin/db")["c"] != 1 || !h.c.Converged() {
+				t.Fatalf("precondition: db not live on c: %+v", h.c.Status())
+			}
+			h.f.migrateDelay = sim.Duration(periods) * h.c.Config().Period
+			spec.Avoid = []string{"a", "c"}
+			if err := h.c.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 2, Avoid: []string{"c"}}); err != nil {
+				t.Fatal(err)
+			}
+			rounds0 := metric(h, "controller.rounds")
+			h.rounds(t, periods-1)
+			if got := metric(h, "controller.rounds") - rounds0; got != int64(periods-1) {
+				t.Fatalf("%d rounds ran in %d periods: a round parked on the move", got, periods-1)
+			}
+			st, _ := h.c.App("db")
+			if st.Replicas[0].State != "moving" || st.Replicas[0].Host != "b" {
+				t.Fatalf("db not moving to b: %+v", st.Replicas)
+			}
+			if got := h.f.total("/bin/web"); got != 2 {
+				t.Fatalf("web has %d replicas while db moves, want 2", got)
+			}
+			h.rounds(t, 3)
+			if !h.c.Converged() || h.f.countOn("/bin/db")["b"] != 1 {
+				t.Fatalf("move never landed: %v %+v", h.f.countOn("/bin/db"), h.c.Status())
+			}
+			if got := metric(h, "controller.moves"); got != 1 {
+				t.Fatalf("controller.moves = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestScaleDownSparesMovingReplicas: a scale-down issued while a drain
+// wave is in flight kills only replicas no move owns, though the moving
+// ones are the newest.
+func TestScaleDownSparesMovingReplicas(t *testing.T) {
 	h := newHarness(t, controller.Config{DrainWave: 2}, "a", "b", "c")
-	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 9}); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 4)
-	onC := h.f.countOn("/bin/web")["c"]
-	if onC == 0 {
-		t.Fatalf("precondition: nothing on c (%v)", h.f.countOn("/bin/web"))
-	}
-	if err := h.c.Drain("c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.c.Drain("c"); err == nil {
-		t.Fatalf("double drain not rejected")
-	}
-	h.rounds(t, 6)
-	ds, ok := h.c.DrainStatus("c")
-	if !ok || !ds.Done {
-		t.Fatalf("drain not done: %+v", ds)
-	}
-	if got := h.f.countOn("/bin/web")["c"]; got != 0 {
-		t.Fatalf("drained host still has %d replicas", got)
-	}
-	if h.f.total("/bin/web") != 9 {
-		t.Fatalf("lost replicas during drain: %v", h.f.countOn("/bin/web"))
-	}
-	if ds.Moved != onC || ds.Failed != 0 {
-		t.Fatalf("drain accounting: moved=%d want %d failed=%d", ds.Moved, onC, ds.Failed)
-	}
-	// Waves were rate-limited: at DrainWave=2, onC replicas need at least
-	// ceil(onC/2) waves.
-	if minWaves := (onC + 1) / 2; ds.Waves < minWaves {
-		t.Fatalf("drain took %d waves, want >= %d", ds.Waves, minWaves)
-	}
-	if ds.Makespan <= 0 {
-		t.Fatalf("makespan not recorded: %+v", ds)
-	}
-	// The cordon outlives the drain: new work avoids c until Uncordon.
-	if err := h.c.Submit(controller.AppSpec{Name: "api", Path: "/bin/api", Replicas: 4}); err != nil {
+	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 6}); err != nil {
 		t.Fatal(err)
 	}
 	h.rounds(t, 3)
-	if n := h.f.countOn("/bin/api")["c"]; n != 0 {
-		t.Fatalf("cordoned host got %d new replicas", n)
+	if h.f.countOn("/bin/web")["c"] != 2 || !h.c.Converged() {
+		t.Fatalf("precondition: want 2 live replicas on c: %v", h.f.countOn("/bin/web"))
 	}
-	h.c.Uncordon("c")
-	if err := h.c.Submit(controller.AppSpec{Name: "api", Path: "/bin/api", Replicas: 8}); err != nil {
+	h.f.migrateDelay = 3 * h.c.Config().Period
+	if err := h.c.Drain("c"); err != nil {
 		t.Fatal(err)
 	}
+	h.rounds(t, 1) // the wave launches
+	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 3}); err != nil {
+		t.Fatal(err)
+	}
+	h.rounds(t, 1) // the scale-down runs with both moves in flight
+	if h.f.killedMoving != 0 {
+		t.Fatalf("%d kill(s) aimed at a replica mid-move", h.f.killedMoving)
+	}
+	st, _ := h.c.App("web")
+	moving := 0
+	for _, r := range st.Replicas {
+		if r.State == "moving" {
+			moving++
+		}
+	}
+	if moving != 2 || len(st.Replicas) != 3 {
+		t.Fatalf("want the 2 moving replicas kept and 1 other: %+v", st.Replicas)
+	}
 	h.rounds(t, 4)
-	if n := h.f.countOn("/bin/api")["c"]; n == 0 {
-		t.Fatalf("uncordoned host never reused: %v", h.f.countOn("/bin/api"))
+	ds, _ := h.c.DrainStatus("c")
+	if !ds.Done || ds.Moved != 2 || ds.Failed != 0 {
+		t.Fatalf("drain: %+v", ds)
+	}
+	if h.f.killedMoving != 0 || h.f.total("/bin/web") != 3 || !h.c.Converged() {
+		t.Fatalf("after the drain: %d kills mid-move, %v, %+v", h.f.killedMoving, h.f.countOn("/bin/web"), h.c.Status())
 	}
 }
 
@@ -423,46 +577,6 @@ func TestDrainRetriesFailedMoves(t *testing.T) {
 	}
 }
 
-func TestReplaceRollsInWaves(t *testing.T) {
-	h := newHarness(t, controller.Config{ReplaceWave: 2}, "a", "b", "c")
-	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 6}); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 4)
-	var oldPids []int
-	for _, h2 := range h.f.hosts {
-		for pid := range h.f.procs[h2] {
-			oldPids = append(oldPids, pid)
-		}
-	}
-	if err := h.c.Replace("web"); err != nil {
-		t.Fatal(err)
-	}
-	// 6 replicas at 2 per wave with a settle round between waves.
-	h.rounds(t, 8)
-	if !h.c.Converged() {
-		t.Fatalf("replace never converged: %+v", h.c.Status())
-	}
-	if h.f.total("/bin/web") != 6 {
-		t.Fatalf("replica count drifted: %v", h.f.countOn("/bin/web"))
-	}
-	old := map[int]bool{}
-	for _, pid := range oldPids {
-		old[pid] = true
-	}
-	for _, h2 := range h.f.hosts {
-		for pid := range h.f.procs[h2] {
-			if old[pid] {
-				t.Fatalf("pid %d survived the replace", pid)
-			}
-		}
-	}
-	st, _ := h.c.App("web")
-	if st.Gen != 1 {
-		t.Fatalf("generation not bumped: %+v", st)
-	}
-}
-
 func TestScaleDownKillsExcess(t *testing.T) {
 	h := newHarness(t, controller.Config{}, "a", "b", "c")
 	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 6}); err != nil {
@@ -476,41 +590,71 @@ func TestScaleDownKillsExcess(t *testing.T) {
 	if got := h.f.total("/bin/web"); got != 2 {
 		t.Fatalf("want 2 after scale-down, have %d", got)
 	}
-	if err := h.c.Remove("web"); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 3)
-	if got := h.f.total("/bin/web"); got != 0 {
-		t.Fatalf("want 0 after remove, have %d", got)
-	}
-	if _, ok := h.c.App("web"); ok {
-		t.Fatalf("removed app still listed")
-	}
 }
 
+// TestStaleChainRelocation: a committed migration whose reply (carrying
+// the new pid) is lost. Whether a drain or a constraint moved the
+// replica, the controller relocates it by the OldPID the destination's
+// census reports instead of declaring it dead, and ends with the same
+// binding.
 func TestStaleChainRelocation(t *testing.T) {
-	h := newHarness(t, controller.Config{}, "a", "b", "c")
-	if err := h.c.Submit(controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 3}); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 3)
-	// A committed migration whose reply (carrying the new pid) is lost:
-	// the controller must relocate the replica by the OldPID the
-	// destination's census reports instead of declaring it dead.
-	h.f.loseNextReply = true
-	if err := h.c.Drain("c"); err != nil {
-		t.Fatal(err)
-	}
-	h.rounds(t, 5)
-	ds, _ := h.c.DrainStatus("c")
-	if !ds.Done {
-		t.Fatalf("drain with lost reply never finished: %+v", ds)
-	}
-	if !h.c.Converged() {
-		t.Fatalf("stale replica never relocated: %+v", h.c.Status())
-	}
-	if h.f.total("/bin/web") != 3 {
-		t.Fatalf("replica lost: %v", h.f.countOn("/bin/web"))
+	for _, tc := range []struct {
+		cause string
+		start func(h *harness, spec controller.AppSpec) error
+	}{
+		{"drain", func(h *harness, spec controller.AppSpec) error {
+			spec.Avoid = nil
+			if err := h.c.Submit(spec); err != nil {
+				return err
+			}
+			return h.c.Drain("c")
+		}},
+		{"constraint", func(h *harness, spec controller.AppSpec) error {
+			spec.Avoid = []string{"c"}
+			return h.c.Submit(spec)
+		}},
+	} {
+		t.Run(tc.cause, func(t *testing.T) {
+			h := newHarness(t, controller.Config{}, "a", "b", "c")
+			spec := controller.AppSpec{Name: "web", Path: "/bin/web", Replicas: 1, Hosts: []string{"b", "c"}, Avoid: []string{"b"}}
+			if err := h.c.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			h.rounds(t, 3)
+			st, _ := h.c.App("web")
+			if !h.c.Converged() || st.Replicas[0].Host != "c" {
+				t.Fatalf("precondition: web not live on c: %+v", h.c.Status())
+			}
+			old := st.Replicas[0].PID
+			h.f.loseNextReply = true
+			if err := tc.start(h, spec); err != nil {
+				t.Fatal(err)
+			}
+			h.rounds(t, 3)
+			if !h.c.Converged() {
+				t.Fatalf("stale replica never relocated: %+v", h.c.Status())
+			}
+			var successor int
+			for pid, p := range h.f.procs["b"] {
+				if p.oldPid == old {
+					successor = pid
+				}
+			}
+			st, _ = h.c.App("web")
+			want := controller.ReplicaStatus{Slot: 0, Host: "b", PID: successor, State: "live"}
+			if successor == 0 || len(st.Replicas) != 1 || st.Replicas[0] != want {
+				t.Fatalf("bound to %+v, want %+v", st.Replicas, want)
+			}
+			if got := metric(h, "controller.adoptions"); got != 1 {
+				t.Fatalf("adoptions = %d, want 1", got)
+			}
+			if got := metric(h, "controller.replicas_lost"); got != 0 {
+				t.Fatalf("a committed move was judged lost %d time(s)", got)
+			}
+			if h.f.total("/bin/web") != 1 {
+				t.Fatalf("replica count: %v", h.f.countOn("/bin/web"))
+			}
+		})
 	}
 }
 
@@ -673,12 +817,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if err := h.c.Drain("nosuch"); err == nil {
 		t.Fatalf("drain of unknown host accepted")
-	}
-	if err := h.c.Replace("nosuch"); err == nil {
-		t.Fatalf("replace of unknown app accepted")
-	}
-	if err := h.c.Remove("nosuch"); err == nil {
-		t.Fatalf("remove of unknown app accepted")
 	}
 }
 

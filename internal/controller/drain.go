@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
 	"procmig/internal/errno"
 	"procmig/internal/ha"
@@ -10,10 +9,9 @@ import (
 	"procmig/internal/sim"
 )
 
-// Rolling operations: host drains and replace waves. Both are
-// rate-limited — a wave of bounded size, a settle barrier, then the next
-// wave — so maintenance never stampedes the network the way "migrate
-// everything at once" would.
+// Rolling host drains. A drain is rate-limited — a wave of bounded size,
+// a settle barrier, then the next wave — so maintenance never stampedes
+// the network the way "migrate everything at once" would.
 
 // drain tracks one rolling host drain.
 type drain struct {
@@ -26,6 +24,11 @@ type drain struct {
 	done     bool
 	finished sim.Time
 	remain   int // owned replicas still on the host, as of the last round
+
+	// inflight counts the current wave's moves not yet completed; the
+	// next wave launches only once it is zero (the settle barrier).
+	inflight int
+	wave     *obs.Span
 }
 
 func (d *drain) status() DrainStatus {
@@ -93,7 +96,6 @@ func (c *Controller) Drain(host string) error {
 	}
 	c.drains[host] = d
 	c.cordoned[host] = true
-	c.convergeAt = 0
 	if sp := c.tracer.Root(d.txn, "drain", host, 0, now); sp != nil {
 		sp.Detail = "rolling drain"
 	}
@@ -118,19 +120,20 @@ func (c *Controller) DrainStatus(host string) (DrainStatus, bool) {
 	return d.status(), ok
 }
 
-// drainStep runs one wave per active drain: pick up to DrainWave owned
-// replicas still on the host, migrate them concurrently (each in its own
-// engine task), and block until the wave settles before returning — the
-// per-wave settle barrier. One wave per reconcile round is the rate
-// limit; a 40-replica host under DrainWave=4 drains over 10 rounds.
-func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
+// drainStep advances every active drain by at most one wave: once the
+// previous wave's moves have all completed, pick up to DrainWave owned
+// replicas still on the host and launch their moves. One wave per
+// reconcile round is the rate limit; a 40-replica host under
+// DrainWave=4 drains over at least 10 rounds.
+func (c *Controller) drainStep(view []ha.Member, now sim.Time) {
 	for _, host := range c.drainOrder {
 		d := c.drains[host]
 		if d.done {
 			continue
 		}
-		// Collect the evacuees: bound replicas on the host, oldest slots
-		// first for determinism.
+		// Count what is bound to the host (a replica moving in from
+		// elsewhere counts: it will land here) and collect the evacuees
+		// among the rest, oldest slots first for determinism.
 		type evac struct {
 			a *app
 			r *replica
@@ -140,16 +143,19 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 		for _, name := range c.appOrder {
 			a := c.apps[name]
 			for _, r := range a.replicas {
-				if r.host != host || r.state == repMoving {
+				if r.host != host {
 					continue
 				}
 				remain++
-				if len(wave) < c.cfg.DrainWave {
+				if r.state != repMoving && len(wave) < c.cfg.DrainWave {
 					wave = append(wave, evac{a, r})
 				}
 			}
 		}
 		d.remain = remain
+		if d.inflight > 0 {
+			continue // settle barrier: the last wave is still moving
+		}
 		if remain == 0 {
 			d.done = true
 			d.finished = now
@@ -166,147 +172,27 @@ func (c *Controller) drainStep(t *sim.Task, view []ha.Member, now sim.Time) {
 			continue
 		}
 
-		// Resolve destinations first: a wave with nowhere to go is not a
-		// wave (counting it would flood spans while placement pressure
-		// persists), just a stuck marker retried next round. The binding
-		// is tentatively moved to the destination at selection time so
-		// the next evacuee's placement counts it there — two replicas of
-		// an anti-affinity app must not pick the same refuge.
-		type move struct {
-			r        *replica
-			src, dst string
-			pid      int
-		}
-		var moves []move
+		// A wave with nowhere to go is not a wave (counting it would
+		// flood spans while placement pressure persists), just a stuck
+		// marker retried next round. Each launch binds its replica to the
+		// destination, so the next evacuee's placement counts it there —
+		// two replicas of an anti-affinity app must not pick the same
+		// refuge.
 		for _, ev := range wave {
 			dst := c.place(ev.a, view, host)
 			if dst == "" {
 				c.mDrainStuck.Inc()
 				continue
 			}
-			ev.r.state = repMoving
-			ev.r.since = now
-			moves = append(moves, move{r: ev.r, src: ev.r.host, dst: dst, pid: ev.r.pid})
-			ev.r.host = dst
-		}
-		if len(moves) == 0 {
-			continue
-		}
-		d.waves++
-		c.mDrainWave.Inc()
-		waveSpan := c.tracer.Child(d.txn, fmt.Sprintf("wave %d", d.waves), host, 0, now)
-		pending := 0
-		for i := range moves {
-			mv := moves[i]
-			pending++
-			c.eng.Go(fmt.Sprintf("drain:%s:%d", mv.src, mv.pid), func(wt *sim.Task) {
-				defer func() { pending-- }()
-				newPid, err := c.act.Migrate(wt, mv.src, mv.pid, mv.dst)
-				r := mv.r
-				if err != nil {
-					c.mDrainFail.Inc()
-					c.drainFailCounter(err).Inc()
-					d.failed++
-					r.host = mv.src // still on the host; next wave retries
-					r.state = repLive
-					return
-				}
-				c.disown(mv.src, mv.pid)
-				if newPid == 0 {
-					// Committed but the reply carrying the new pid was
-					// lost; dst's census will reveal the successor.
-					r.stale = true
-					c.own(mv.dst, mv.pid)
-				} else {
-					r.pid = newPid
-					r.stale = false
-					c.own(mv.dst, newPid)
-				}
-				r.state = repPending
-				r.since = wt.Now()
-				r.downAt = 0
-				r.protHost, r.protPID, r.protBuddy = "", 0, ""
-				c.mDrainMove.Inc()
-				d.moved++
-			})
-		}
-		// Settle barrier: the round does not proceed (and the next wave
-		// cannot start) until every migration in this wave has finished.
-		for pending > 0 {
-			t.Sleep(c.cfg.Period / 4)
-		}
-		waveSpan.EndDetail(t.Now(), fmt.Sprintf("launched=%d", len(moves)))
-	}
-}
-
-// replaceStep advances one rolling replace for app a: when a Replace has
-// bumped the generation, restart up to ReplaceWave stale replicas.
-// The settle barrier between waves is implicit: a wave only starts while
-// the app has no pending replicas, so the previous wave's restarts must
-// have been listed in their hosts' censuses first.
-func (c *Controller) replaceStep(t *sim.Task, a *app, view []ha.Member, now sim.Time, budget int) int {
-	var stale []*replica
-	for _, r := range a.replicas {
-		if r.gen != a.gen {
-			stale = append(stale, r)
-		}
-		if r.state == repPending {
-			return budget // settle barrier: wait for the last wave to land
-		}
-	}
-	if len(stale) == 0 {
-		return budget
-	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i].slot < stale[j].slot })
-	if len(stale) > c.cfg.ReplaceWave {
-		stale = stale[:c.cfg.ReplaceWave]
-	}
-	c.mReplaceWave.Inc()
-	txn := drainTxn(a.spec.Name+"#replace", int64(a.gen))
-	root := c.tracer.Root(txn, "replace", c.Host, 0, now)
-	for _, r := range stale {
-		if budget <= 0 {
-			break
-		}
-		if r.state == repLive && c.hostAlive(r.host) {
-			if err := c.act.Kill(t, r.host, r.pid); err != nil {
-				continue
+			if d.inflight == 0 {
+				d.waves++
+				c.mDrainWave.Inc()
+				d.wave = c.tracer.Child(d.txn, fmt.Sprintf("wave %d", d.waves), host, 0, now)
 			}
+			c.launch(ev.r, dst, d, now)
 		}
-		sp := c.tracer.Child(txn, "restart", r.host, r.pid, now)
-		c.drop(a, r)
-		host := c.place(a, view, "")
-		if host == "" {
-			sp.EndDetail(t.Now(), "no placement")
-			budget--
-			continue // slot becomes a deficit; spawned when capacity returns
-		}
-		pid, err := c.act.Spawn(t, host, a.spec.Path)
-		if err != nil {
-			c.mSpawnFail.Inc()
-			sp.EndDetail(t.Now(), "spawn failed")
-			budget--
-			continue
-		}
-		nr := &replica{
-			slot: a.nextSlot, gen: a.gen, host: host, pid: pid,
-			state: repPending, since: t.Now(),
-		}
-		a.nextSlot++
-		a.replicas = append(a.replicas, nr)
-		c.own(host, pid)
-		c.mReplaced.Inc()
-		sp.EndDetail(t.Now(), fmt.Sprintf("%s/%d -> %s/%d", r.host, r.pid, host, pid))
-		budget--
-	}
-	staleLeft := 0
-	for _, r := range a.replicas {
-		if r.gen != a.gen {
-			staleLeft++
+		if d.inflight > 0 && d.wave != nil {
+			d.wave.Detail = fmt.Sprintf("launched=%d", d.inflight)
 		}
 	}
-	if staleLeft == 0 {
-		root.EndDetail(t.Now(), fmt.Sprintf("gen %d complete", a.gen))
-	}
-	return budget
 }

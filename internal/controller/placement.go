@@ -22,14 +22,20 @@ type cand struct {
 // candidates fills c.candScratch with the hosts the spec may legally use
 // right now: alive in the view, not cordoned (draining), admitted by the
 // spec's allow/deny lists, and below the spec's per-host cap. exclude is
-// an extra host to rule out (a migration source).
+// an extra host to rule out (a migration source). Host counts come from
+// the bindings, a moving replica counting at its destination.
 func (c *Controller) candidates(a *app, view []ha.Member, exclude string) []cand {
-	perApp := c.countScratch
-	for k := range perApp {
-		delete(perApp, k)
-	}
-	for _, r := range a.replicas {
-		perApp[r.host]++
+	perApp, owned := c.countScratch, c.ownedScratch
+	clear(perApp)
+	clear(owned)
+	for _, name := range c.appOrder {
+		b := c.apps[name]
+		for _, r := range b.replicas {
+			owned[r.host]++
+			if b == a {
+				perApp[r.host]++
+			}
+		}
 	}
 	max := a.spec.maxPerHost()
 	out := c.candScratch[:0]
@@ -43,7 +49,7 @@ func (c *Controller) candidates(a *app, view []ha.Member, exclude string) []cand
 			continue
 		}
 		out = append(out, cand{
-			host: m.Host, load: m.Load, inApp: in, owned: c.ownedPerHost[m.Host],
+			host: m.Host, load: m.Load, inApp: in, owned: owned[m.Host],
 		})
 	}
 	c.candScratch = out

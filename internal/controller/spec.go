@@ -5,25 +5,25 @@
 // cluster through the existing migration machinery — spawning missing
 // replicas, migrating misplaced ones, killing excess ones, and replacing
 // dead ones (via guardd protection when the app asks for it). It also
-// owns the two rolling operations a fleet needs for maintenance: host
-// drains (migrate everything off a host, rate-limited in waves with a
-// concurrency cap and per-wave settle barriers) and deploy-style replace
-// waves (rolling restart of an app's replicas).
+// owns host drains, the rolling operation a fleet needs for maintenance:
+// migrate everything off a host, rate-limited in waves with a
+// concurrency cap and a settle barrier between waves.
 //
 // The controller turns the paper's one-shot operator-driven `migrate`
 // verb into a continuously applied policy, in the mold of the
 // Flynn/Kubernetes desired-state/reconcile split: desired state is a
 // plain data structure the operator edits; observed state is rebuilt
-// every round from the disseminated heartbeat view (the gossip LoadView
-// plus the per-host process census it carries); and the reconciler is a
-// pure diff whose actions all ride the transactional migd verbs, so a
-// crashed or raced action can never lose a replica — at worst it is
-// retried or healed a round later.
+// every round from the disseminated heartbeat view (membership and
+// load) plus the census each replica's host answers when asked; and
+// every action rides the transactional migd verbs, so a crashed or
+// raced action can never lose a replica — at worst it is retried or
+// healed a round later. Constraint moves and drain evacuations share one
+// move path, and no round waits on a migration.
 //
 // Like the Balancer and NightScheduler, the controller is
 // message-passing-honest about what it knows: replica liveness, host
-// liveness and load all come from the heartbeat view, never from peeking
-// at peer kernels. Actions go through an Actuator interface so the policy
+// liveness and load come from the heartbeat view and the hosts' census
+// answers, never from peeking at peer kernels. Actions go through an Actuator interface so the policy
 // core stays independent of the cluster assembly (and testable against
 // fakes).
 package controller
@@ -134,7 +134,6 @@ type ReplicaStatus struct {
 	Host  string `json:"host"`
 	PID   int    `json:"pid"`
 	State string `json:"state"` // "pending", "live", "moving"
-	Gen   int    `json:"gen"`
 }
 
 // AppStatus is one app's observed-vs-desired summary.
@@ -143,7 +142,6 @@ type AppStatus struct {
 	Desired  int             `json:"desired"`
 	Live     int             `json:"live"`
 	Pending  int             `json:"pending"`
-	Gen      int             `json:"gen"` // bumped by Replace
 	Replicas []ReplicaStatus `json:"replicas"`
 }
 

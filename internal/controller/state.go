@@ -24,8 +24,9 @@ const (
 	repPending repState = iota
 	// repLive: listed in its alive host's latest answer.
 	repLive
-	// repMoving: a drain or constraint move is in flight; the view
-	// judgement skips it (mid-transaction both copies are transient).
+	// repMoving: a drain or constraint move is in flight and the slot is
+	// bound to the destination; only the move's completion may touch it
+	// (mid-transaction both copies are transient).
 	repMoving
 )
 
@@ -44,7 +45,6 @@ func (s repState) String() string {
 // replica is one bound slot of an app.
 type replica struct {
 	slot  int
-	gen   int // spec generation it was spawned under (Replace bumps the app's)
 	host  string
 	pid   int
 	state repState
@@ -69,10 +69,8 @@ type replica struct {
 // replicas slice holds the bound ones; deficit = spec.Replicas - len.
 type app struct {
 	spec     AppSpec
-	gen      int // bumped by Replace; replicas with older gen are stale
 	replicas []*replica
 	nextSlot int
-	removed  bool // Remove was called; forgotten once the replicas are gone
 	// respawnDebt counts slots judged dead and not yet refilled, so the
 	// reconciler can tell a heal (respawns counter) from a scale-up
 	// (spawns counter).
@@ -101,45 +99,29 @@ type watchedProt struct {
 	at     sim.Time
 }
 
-func hp(host string, pid int) string { return fmt.Sprintf("%s/%d", host, pid) }
-
-// own/disown maintain the ownership index the Balancer's Skip hook and
-// placement host-counts read.
-func (c *Controller) own(host string, pid int) {
-	k := hp(host, pid)
-	if !c.owned[k] {
-		c.owned[k] = true
-		c.ownedPerHost[host]++
+// newer reports whether r entered its state after v, ties broken on
+// (host, pid) so the order is total and replays.
+func newer(r, v *replica) bool {
+	if r.since != v.since {
+		return r.since > v.since
 	}
+	if r.host != v.host {
+		return r.host > v.host
+	}
+	return r.pid > v.pid
 }
 
-func (c *Controller) disown(host string, pid int) {
-	k := hp(host, pid)
-	if c.owned[k] {
-		delete(c.owned, k)
-		c.ownedPerHost[host]--
-	}
-}
-
-// Owns reports whether the controller currently claims (host, pid).
-// Wired into the Balancer as its Skip hook so the load balancer defers
-// to controller-owned replicas instead of fighting the reconciler.
-func (c *Controller) Owns(host string, pid int) bool { return c.owned[hp(host, pid)] }
-
-// rebind moves a replica's binding and ownership to a new (host, pid).
-func (c *Controller) rebind(r *replica, host string, pid int, st repState, now sim.Time) {
-	c.disown(r.host, r.pid)
+// rebind moves a replica's binding to a new (host, pid).
+func rebind(r *replica, host string, pid int, st repState, now sim.Time) {
 	r.host, r.pid = host, pid
 	r.state = st
 	r.since = now
 	r.stale = false
 	r.downAt = 0
-	c.own(host, pid)
 }
 
 // drop removes a replica's binding entirely (killed or presumed dead).
-func (c *Controller) drop(a *app, r *replica) {
-	c.disown(r.host, r.pid)
+func drop(a *app, r *replica) {
 	for i, rr := range a.replicas {
 		if rr == r {
 			a.replicas = append(a.replicas[:i], a.replicas[i+1:]...)
@@ -148,22 +130,25 @@ func (c *Controller) drop(a *app, r *replica) {
 	}
 }
 
-// census is one host's answer to this round's query; ok if it answered.
+// census is one host's answer to this round's query; ok if it answered,
+// asked when the query went out.
 type census struct {
 	ok    bool
+	asked sim.Time
 	procs []ha.ProcStat
 }
 
 // askCensuses asks every alive host that holds a non-moving replica or an
 // orphan for its census, once, in replica and then orphan order, so runs
-// replay. No earlier step of the round parks, so every answer postdates
-// every binding.
+// replay. A move can complete while the round waits for answers; the
+// judge reads an answer only for bindings made before it was asked for.
 func (c *Controller) askCensuses(t *sim.Task) {
 	clear(c.censuses)
 	ask := func(host string) {
 		if _, asked := c.censuses[host]; !asked && c.hostAlive(host) {
+			asked := t.Now()
 			procs, err := c.act.Census(t, host, nil)
-			c.censuses[host] = census{err == nil, procs}
+			c.censuses[host] = census{err == nil, asked, procs}
 		}
 	}
 	for _, name := range c.appOrder {
@@ -211,17 +196,17 @@ func (c *Controller) judge(now sim.Time) {
 		c.repScratch = reps
 		for _, r := range reps {
 			if r.state == repMoving {
-				continue // the move's own task updates the binding
+				continue // the move's completion updates the binding
 			}
 			if c.hostAlive(r.host) {
 				r.downAt = 0
 				cs := c.censuses[r.host]
-				if !cs.ok {
-					continue
+				if !cs.ok || r.since > cs.asked {
+					continue // no answer, or one older than the binding
 				}
 				if r.stale {
 					if pid, found := chase(cs.procs, r.pid); found {
-						c.rebind(r, r.host, pid, repLive, now)
+						rebind(r, r.host, pid, repLive, now)
 						c.mAdopt.Inc()
 						continue
 					}
@@ -283,7 +268,7 @@ func (c *Controller) judge(now sim.Time) {
 // lose unbinds a replica judged dead, leaving its slot for the
 // reconciler to respawn.
 func (c *Controller) lose(a *app, r *replica) {
-	c.drop(a, r)
+	drop(a, r)
 	a.respawnDebt++
 	c.mLost.Inc()
 }
@@ -299,7 +284,7 @@ func (c *Controller) adoptRecovery(a *app, r *replica, now sim.Time) bool {
 		if rec.Status != 0 || rec.NewPID == 0 {
 			continue // failed restart; the guardian retries, keep waiting
 		}
-		c.rebind(r, r.protBuddy, rec.NewPID, repPending, now)
+		rebind(r, r.protBuddy, rec.NewPID, repPending, now)
 		// The restored copy is a different process; protection must be
 		// re-registered once it is seen live.
 		r.protHost, r.protPID, r.protBuddy = "", 0, ""

@@ -55,9 +55,6 @@ func (h *DumpHold) dump(p *kernel.Proc) errno.Errno {
 	return h.park(p)
 }
 
-// Frozen reports whether the victim has written its dump files and parked.
-func (h *DumpHold) Frozen() bool { return h.frozen }
-
 // DumpFailed reports the dump error, if the dump itself failed (the victim
 // resumed on its own; there is nothing to commit).
 func (h *DumpHold) DumpFailed() errno.Errno { return h.dumpErr }

@@ -16,9 +16,10 @@ import (
 // Boot N hosts, submit two apps — a spread service with anti-affinity
 // and a bin-packed batch tier — and measure three convergences: the
 // initial rollout, healing a crash wave that takes out a tenth of the
-// cluster, and a rolling drain of the most loaded host — while auditing
-// the kernels (not the controller's books) for the replica count after
-// every reconcile period.
+// cluster, and a rolling drain of a multi-wave host — while auditing the
+// kernels (not the controller's books) for the replica count after
+// every reconcile period. The seed draws the crash wave and the drain
+// host as well as the engine's randomness.
 
 // a13ServiceSrc is the replica program: touch a 16 KiB working set,
 // bump a beat counter, sleep one second, repeat. The duty cycle is what
@@ -92,8 +93,8 @@ func (c A13Config) withDefaults() A13Config {
 }
 
 // a13BatchCap is the batch app's per-host cap: bin-packing concentrates
-// its replicas, so the drain phase has a genuinely loaded host to empty
-// in multiple rate-limited waves.
+// its replicas, so the drain phase has hosts loaded enough to empty in
+// multiple rate-limited waves.
 const a13BatchCap = 4
 
 // a13DrainWave keeps drain waves smaller than the loaded host's
@@ -122,7 +123,7 @@ type A13Result struct {
 	Respawns     int64   `json:"respawns"`
 	ReplicasLost int64   `json:"replicas_lost"`
 
-	// Phase 3: rolling drain of the most loaded host.
+	// Phase 3: rolling drain of a host carrying more than one wave.
 	DrainHost  string  `json:"drain_host"`
 	DrainS     float64 `json:"drain_s"`
 	DrainWaves int     `json:"drain_waves"`
@@ -161,6 +162,10 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	}
 	defer c.Eng.Close()
 	c.Eng.Seed(cfg.Seed)
+	// The faults draw from their own stream, so they do not shift the
+	// engine's draws.
+	faults := cfg.Seed ^ 0xa13fa0175eed
+	draw := func(n int) int { return int(splitmix64(&faults) % uint64(n)) }
 	if err := c.InstallVM(a13Path, a13ServiceSrc); err != nil {
 		return nil, err
 	}
@@ -262,24 +267,26 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	res.ConvergeRounds = ctr("controller.rounds") - r0
 
 	// Phase 2: crash a tenth of the cluster — replica carriers, the
-	// controller host excepted — and heal. Every lost slot must come
-	// back as a respawn on a surviving host, and the controller's loss
-	// accounting must match the replicas that were actually on the
-	// crashed hosts.
+	// controller host excepted, drawn from the seed — and heal. Every
+	// lost slot must come back as a respawn on a surviving host, and the
+	// controller's loss accounting must match the replicas that were
+	// actually on the crashed hosts.
 	_, per := census()
-	var wave []string
-	lostExpected := 0
+	var carriers []string
 	for _, hn := range c.Names() {
-		if hn != "h000" && per[hn] > 0 && len(wave) < cfg.CrashWave {
-			wave = append(wave, hn)
-			lostExpected += per[hn]
+		if hn != "h000" && per[hn] > 0 {
+			carriers = append(carriers, hn)
 		}
 	}
-	if len(wave) < cfg.CrashWave {
-		return nil, fmt.Errorf("a13: only %d replica-carrying hosts to crash, want %d", len(wave), cfg.CrashWave)
+	if len(carriers) < cfg.CrashWave {
+		return nil, fmt.Errorf("a13: only %d replica-carrying hosts to crash, want %d", len(carriers), cfg.CrashWave)
 	}
-	for _, hn := range wave {
-		c.Crash(hn)
+	lostExpected := 0
+	for i := 0; i < cfg.CrashWave; i++ {
+		j := i + draw(len(carriers)-i)
+		carriers[i], carriers[j] = carriers[j], carriers[i]
+		c.Crash(carriers[i])
+		lostExpected += per[carriers[i]]
 	}
 	r0 = ctr("controller.rounds")
 	d, err = stepUntil("crash-wave heal", 300*sim.Second, 0, converged)
@@ -298,20 +305,21 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 		return nil, fmt.Errorf("a13: %d respawns for %d lost replicas", res.Respawns, res.ReplicasLost)
 	}
 
-	// Phase 3: rolling drain of the most loaded surviving host — by
-	// construction a bin-packed batch host, so the evacuation takes
-	// multiple rate-limited waves.
+	// Phase 3: rolling drain of a surviving host drawn from the seed
+	// among those carrying more than one wave — by construction
+	// bin-packed batch hosts, so the evacuation takes multiple
+	// rate-limited waves.
 	_, per = census()
-	drainHost := ""
+	var loaded []string
 	for _, hn := range c.Names() {
-		if hn != "h000" && per[hn] > 0 && !c.NetHost(hn).Down() &&
-			(drainHost == "" || per[hn] > per[drainHost]) {
-			drainHost = hn
+		if hn != "h000" && per[hn] > a13DrainWave && !c.NetHost(hn).Down() {
+			loaded = append(loaded, hn)
 		}
 	}
-	if drainHost == "" {
-		return nil, fmt.Errorf("a13: no replica carrier left to drain")
+	if len(loaded) == 0 {
+		return nil, fmt.Errorf("a13: no host left carrying more than %d replicas to drain", a13DrainWave)
 	}
+	drainHost := loaded[draw(len(loaded))]
 	evacuees := per[drainHost]
 	if err := c.DrainHost(drainHost); err != nil {
 		return nil, err

@@ -357,11 +357,6 @@ func (p *Proc) postSignal(sig Signal) {
 	}
 }
 
-// SignalPending reports whether sig is pending (tests).
-func (p *Proc) SignalPending(sig Signal) bool {
-	return p.sigPending&(1<<uint(sig)) != 0
-}
-
 // deliverSignals processes pending signals in the process's own context.
 // Fatal dispositions do not return. It reports whether any signal was
 // delivered to a handler (so interrupted syscalls can return EINTR).

@@ -130,12 +130,6 @@ func (s *Sys) SendTo(fd int, host string, port int, data []byte) errno.Errno {
 	return s.p.sendto(fd, host, port, data)
 }
 
-// RecvFrom blocks until a datagram arrives on fd.
-func (s *Sys) RecvFrom(fd, max int) ([]byte, errno.Errno) {
-	s.enter()
-	return s.p.recvfrom(fd, max)
-}
-
 // RequestForward asks oldHost to relay datagrams for port to this
 // machine — used by restart under the socket-migration extension.
 func (s *Sys) RequestForward(oldHost string, port int) errno.Errno {
@@ -172,12 +166,6 @@ func (s *Sys) Getrealpid() int {
 	return s.p.PID
 }
 
-// Getppid reports the parent process id.
-func (s *Sys) Getppid() int {
-	s.p.sysCPU(s.p.M.Costs.SyscallBase)
-	return s.p.PPID
-}
-
 // Gethostname reports the host name (pre-migration under spoofing).
 func (s *Sys) Gethostname() string {
 	s.p.sysCPU(s.p.M.Costs.SyscallBase)
@@ -194,12 +182,6 @@ func (s *Sys) Getrealhostname() string {
 func (s *Sys) Getuid() int {
 	s.p.sysCPU(s.p.M.Costs.SyscallBase)
 	return s.p.Creds.UID
-}
-
-// Geteuid reports the effective user id.
-func (s *Sys) Geteuid() int {
-	s.p.sysCPU(s.p.M.Costs.SyscallBase)
-	return s.p.Creds.EUID
 }
 
 // Setreuid sets the real and effective user ids (-1 leaves one alone).
@@ -271,13 +253,6 @@ func (s *Sys) Sleep(d sim.Duration) {
 func (s *Sys) Gettime() sim.Time {
 	s.p.sysCPU(s.p.M.Costs.SyscallBase)
 	return s.p.task.Now()
-}
-
-// Compute burns d of user CPU time — a hosted program's stand-in for
-// computation.
-func (s *Sys) Compute(d sim.Duration) {
-	s.enter()
-	s.p.userCPU(d)
 }
 
 // Exit terminates the calling process. It does not return.

@@ -22,19 +22,15 @@
 package load
 
 import (
-	"fmt"
-
 	"procmig/internal/kernel"
 	"procmig/internal/obs"
 	"procmig/internal/sim"
 )
 
-// SLO is a latency/loss objective: breach records are kept for requests
-// slower than P99Target, and CheckSLO compares the observed p99 and drop
-// count against it. Zero values mean "no objective".
+// SLO is a latency objective: breach records are kept for requests
+// slower than P99. The zero value means "no objective".
 type SLO struct {
-	P99     sim.Duration // observed p99 must be <= this
-	Dropped int64        // observed drops must be <= this
+	P99 sim.Duration
 }
 
 // Config describes one generator.
@@ -282,18 +278,3 @@ func (g *Generator) Series() []obs.WindowPoint { return g.lat.Series() }
 // Breaches exposes the breach records for attribution. The slice is live;
 // Attribute writes the Phase field in place.
 func (g *Generator) Breaches() []Breach { return g.breaches }
-
-// CheckSLO compares the outcome against the configured objective; nil if
-// it held (or none was set).
-func (g *Generator) CheckSLO() error {
-	st := g.Stats()
-	if g.cfg.SLO.P99 > 0 && st.P99 > g.cfg.SLO.P99 {
-		return fmt.Errorf("%s: p99 %v breaches SLO %v (%d/%d requests over)",
-			g.cfg.Name, st.P99, g.cfg.SLO.P99, st.Breaches, st.Completed)
-	}
-	if g.cfg.SLO.P99 > 0 && st.Dropped > g.cfg.SLO.Dropped {
-		return fmt.Errorf("%s: dropped %d breaches budget %d",
-			g.cfg.Name, st.Dropped, g.cfg.SLO.Dropped)
-	}
-	return nil
-}

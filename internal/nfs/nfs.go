@@ -199,9 +199,6 @@ func NewClient(host *netsim.Host, server string) *Client {
 	return &Client{host: host, server: server}
 }
 
-// Server reports the server host name.
-func (c *Client) Server() string { return c.server }
-
 func (c *Client) call(req *request) (*response, error) {
 	raw, err := c.host.Call(nil, c.server, Port, encode(req))
 	if err != nil {

@@ -217,9 +217,6 @@ func (w *WindowedHDR) Seal() {
 // may Merge *from* it).
 func (w *WindowedHDR) Total() *HDR { return &w.total }
 
-// Width reports the window width.
-func (w *WindowedHDR) Width() sim.Duration { return w.width }
-
 // Series returns the sealed windows in time order. The slice is the live
 // backing store — callers must treat it as read-only.
 func (w *WindowedHDR) Series() []WindowPoint { return w.points }

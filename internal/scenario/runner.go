@@ -335,7 +335,7 @@ func (r *runner) drive(tk *sim.Task) error {
 		r.gens[ls.Name] = load.Start(c.Eng, c.Obs.Scope(ls.Name), load.Config{
 			Name: ls.Name, Interval: ls.Interval, Service: ls.Service,
 			Timeout: ls.Timeout, Window: ls.Window,
-			SLO: load.SLO{P99: ls.SLOP99, Dropped: ls.SLODropped},
+			SLO: load.SLO{P99: ls.SLOP99},
 		}, lin.Target())
 	}
 	for i, ev := range r.sc.Events {

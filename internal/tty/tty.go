@@ -64,10 +64,6 @@ func (t *Terminal) Name() string { return t.name }
 // Flags reports the current mode word.
 func (t *Terminal) Flags() Flags { return t.flags }
 
-// Volatile reports whether this is a network pty that cannot hold real
-// terminal modes.
-func (t *Terminal) Volatile() bool { return t.volatile }
-
 // SetFlags sets the mode word. On a network pty the request "succeeds"
 // (as it did through rsh) but raw/cbreak/noecho silently do not stick.
 func (t *Terminal) SetFlags(f Flags) {
@@ -172,9 +168,3 @@ func (t *Terminal) Write(data []byte) (int, errno.Errno) {
 
 // Output returns the transcript so far.
 func (t *Terminal) Output() string { return t.output.String() }
-
-// ResetOutput clears the transcript (tests).
-func (t *Terminal) ResetOutput() { t.output.Reset() }
-
-// PendingInput reports how many input bytes are queued (tests).
-func (t *Terminal) PendingInput() int { return len(t.input) }

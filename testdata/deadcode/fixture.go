@@ -9,7 +9,7 @@ import fl "fixture/internal/lib"
 func Exported() int {
 	unusedVar := usedHelper() // a local, not the package-level var
 	var t usedType
-	return unusedVar + usedConst + t.unusedHelper + len(usedVar) + fl.Used()
+	return unusedVar + usedConst + t.unusedHelper + len(usedVar) + fl.Used() + fl.T{}.Called()
 }
 
 func usedHelper() int { return 1 }

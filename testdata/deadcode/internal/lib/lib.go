@@ -1,6 +1,7 @@
 // Package lib is the fixture's internal package for the exported-func
-// guard in deadcode_test.go: Unused and Recursive must be flagged and
-// nothing else.
+// and exported-method guards in deadcode_test.go: the func guard must
+// flag Unused and Recursive and nothing else, the method guard T.Method
+// and nothing else.
 package lib
 
 // Used is called by the fixture's root package, through an import alias.
@@ -25,8 +26,19 @@ func Recursive(n int) int {
 	return Recursive(n - 1)
 }
 
-// T carries an exported method nothing calls; methods are not checked.
+// T carries one exported method of each kind for the method guard; the
+// func guard checks none of them.
 type T struct{}
 
 // Method is never called.
 func (T) Method() int { return 4 }
+
+// Called is selected by the fixture's root package.
+func (T) Called() int { return 5 }
+
+// Sizer names Size, so T's Size may be called through it although
+// nothing selects it.
+type Sizer interface{ Size() int }
+
+// Size satisfies Sizer.
+func (T) Size() int { return 6 }
